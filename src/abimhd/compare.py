@@ -50,10 +50,10 @@ __all__ = [
 ]
 
 
-def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
-                     cfl_fraction: float = 0.5,
-                     h_floor: float = DEFAULT_H_FLOOR) -> AbiTrajectory:
-    """March the conservative system, landing exactly on each sample time."""
+def _run_at_times(s0, sample_times: Sequence[float], cfl_dt, step,
+                  cfl_fraction: float, h_floor: float):
+    """March at cfl_fraction of the step bound, landing exactly on each
+    sample time; returns the sample times (0 first) and states."""
     times = [0.0]
     states = [s0]
     s = s0
@@ -62,34 +62,29 @@ def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
         if target <= t + 1e-15:
             raise FieldDataError("sample times must be increasing and positive")
         while t < target - 1e-14:
-            dt = min(cfl_fraction * abi_cfl_dt(s, h_floor), target - t)
-            s = abi_step(s, dt, h_floor)
+            dt = min(cfl_fraction * cfl_dt(s, h_floor), target - t)
+            s = step(s, dt, h_floor)
             t += dt
         t = target
         times.append(t)
         states.append(s)
-    return AbiTrajectory(times, states, [])
+    return times, states
+
+
+def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
+                     cfl_fraction: float = 0.5,
+                     h_floor: float = DEFAULT_H_FLOOR) -> AbiTrajectory:
+    """March the conservative system, landing exactly on each sample time."""
+    return AbiTrajectory(*_run_at_times(s0, sample_times, abi_cfl_dt, abi_step,
+                                        cfl_fraction, h_floor), [])
 
 
 def dmhd_run_at_times(s0: DmhdState, sample_times: Sequence[float],
                       cfl_fraction: float = 0.5,
                       h_floor: float = DEFAULT_H_FLOOR) -> DmhdTrajectory:
     """March the diffusion system, landing exactly on each sample time."""
-    times = [0.0]
-    states = [s0]
-    s = s0
-    t = 0.0
-    for target in sample_times:
-        if target <= t + 1e-15:
-            raise FieldDataError("sample times must be increasing and positive")
-        while t < target - 1e-14:
-            dt = min(cfl_fraction * dmhd_cfl_dt(s, h_floor), target - t)
-            s = dmhd_step(s, dt, h_floor)
-            t += dt
-        t = target
-        times.append(t)
-        states.append(s)
-    return DmhdTrajectory(times, states, [])
+    return DmhdTrajectory(*_run_at_times(s0, sample_times, dmhd_cfl_dt,
+                                         dmhd_step, cfl_fraction, h_floor), [])
 
 
 @dataclass

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
+from .abi import cross3
 from .dmhd import DmhdTrajectory, _constitutive_arrays, _rhs_arrays
 from .fields import (
     DEFAULT_H_FLOOR,
@@ -68,7 +69,8 @@ __all__ = [
 ]
 
 DEFAULT_U_FLOOR = 1e-8
-R0_TOL = 1e-10
+R0_MAX_CANDIDATES = 4096    # worst points the r0 certificate eigensolves
+R0_ROUND_UPS = 8            # ulp-scaled round-up attempts before giving up
 
 
 @dataclass(frozen=True)
@@ -277,8 +279,6 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
     rhs = L.copy()
     rhs[0] -= frame.dt_h_star_inv.values
     rhs[1:4] -= frame.dt_b_star.values
-    from .abi import cross3
-
     rhs[0] += g.div_arr(da(cross3(d, b) - tau * v))
     rhs[1:4] -= g.grad_arr(da((b * v).sum(0)))
     rhs[4:7] += d
@@ -304,13 +304,22 @@ def lambda_functional(rho: ScalarField, U: np.ndarray,
     if rv.min() < 0.0:
         raise FieldDataError("lambda_functional requires rho >= 0")
     U = np.asarray(U, dtype=float)
-    usq = (U ** 2).sum(0)
-    ok = rv > h_floor
+    return _floored_quotient((U ** 2).sum(0), rv, U, h_floor, u_floor)
+
+
+def _floored_quotient(num: np.ndarray, rho: np.ndarray, X: np.ndarray,
+                      h_floor: float, u_floor: float) -> float:
+    """integral(num / (2 rho)) with rho floored at h_floor.
+
+    Points with rho at or below the floor contribute zero while the field X
+    stays within u_floor there; anywhere else the integral is +infinity.
+    """
+    ok = rho > h_floor
     if not ok.all():
-        if np.any(np.sqrt(usq[~ok]) > u_floor):
+        if np.any(np.sqrt((X ** 2).sum(0)[~ok]) > u_floor):
             return math.inf
-        return float(np.where(ok, usq / np.where(ok, 2.0 * rv, 1.0), 0.0).mean())
-    return float((usq / (2.0 * rv)).mean())
+        return float(np.where(ok, num / np.where(ok, 2.0 * rho, 1.0), 0.0).mean())
+    return float((num / (2.0 * rho)).mean())
 
 
 def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
@@ -343,14 +352,8 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
 def _q_form_integral(h: np.ndarray, W: np.ndarray, Q: np.ndarray,
                      h_floor: float, u_floor: float) -> float:
     """integral(W^T Q W / (2 h)); +inf marker on positivity loss."""
-    ok = h > h_floor
     quad = np.einsum("xyzij,ixyz,jxyz->xyz", Q, W, W)
-    if not ok.all():
-        wnorm = np.sqrt((W ** 2).sum(0))
-        if np.any(wnorm[~ok] > u_floor):
-            return math.inf
-        return float(np.where(ok, quad / np.where(ok, 2.0 * h, 1.0), 0.0).mean())
-    return float((quad / (2.0 * h)).mean())
+    return _floored_quotient(quad, h, W, h_floor, u_floor)
 
 
 def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
@@ -383,7 +386,7 @@ def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Certified shift r0 by bisection.
+# Certified shift r0 in closed form.
 # ----------------------------------------------------------------------
 
 def _as_target(target) -> float:
@@ -406,65 +409,58 @@ def _schur_threshold(Qflat: np.ndarray, t: float) -> np.ndarray:
     return t + lam_max
 
 
-def r0(frames: Sequence[TestFieldFrame], target="identity",
-       tol: float = R0_TOL, max_candidates: int = 4096) -> float:
+def _near_max(th: np.ndarray) -> np.ndarray:
+    """Indices of the points within 1e-6 (1 + |max|) of the maximum
+    threshold, keeping the R0_MAX_CANDIDATES worst."""
+    top = float(th.max())
+    idx = np.nonzero(th >= top - 1e-6 * (1.0 + abs(top)))[0]
+    if idx.size > R0_MAX_CANDIDATES:
+        idx = idx[np.argsort(th[idx])[::-1][:R0_MAX_CANDIDATES]]
+    return idx
+
+
+def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
     """Smallest shift r with Q(w*) + r I_{10:4} - target I_10 >= 0 everywhere.
 
-    Certified by bisection on [0, r_max] with the batched Jacobi eigensolver;
-    the result is rounded up to the feasible bracket endpoint so the shifted
-    matrix is guaranteed positive semidefinite at every sampled (t, x). A
-    Schur-complement prefilter selects the pointwise-worst candidates so the
-    bisection only eigensolves where it matters.
+    The lower-right 6x6 block of Q is 2 I, so the Schur complement gives r
+    in closed form: the maximum over all sampled (t, x) of
+    target + lambda_max(C C^T / (2 - target) - A), floored at zero, where A
+    is the upper-left 4x4 block and C the upper-right 4x6 block. The value
+    is certified by the full 10x10 Jacobi eigensolver at the pointwise-worst
+    candidates, rounded up by ulp-scaled steps if round-off leaves it just
+    infeasible, so the shifted matrix is positive semidefinite at every
+    sampled point.
     """
     if not frames:
         raise FieldDataError("r0 requires at least one frame")
     tval = _as_target(target)
 
-    thresholds = []
-    max_entry = 0.0
+    # the near-maximal band of all frames lies inside the union of each
+    # frame's own band, so one frame's Q is held at a time
+    cand_th = np.empty(0)
+    cand_Q = np.empty((0, 10, 10))
     for f in frames:
         Qf = q_matrix(f).flat()
-        max_entry = max(max_entry, float(np.abs(Qf).max()))
-        thresholds.append(_schur_threshold(Qf, tval))
-    global_max = max(float(th.max()) for th in thresholds)
-    slack = 1e-6 * (1.0 + abs(global_max))
+        th = _schur_threshold(Qf, tval)
+        idx = _near_max(th)
+        cand_th = np.concatenate([cand_th, th[idx]])
+        cand_Q = np.concatenate([cand_Q, Qf[idx]])
+        idx = _near_max(cand_th)
+        cand_th, cand_Q = cand_th[idx], cand_Q[idx]
 
-    cands = []
-    for f, th in zip(frames, thresholds):
-        idx = np.nonzero(th >= global_max - slack)[0]
-        if idx.size:
-            cands.append(q_matrix(f).flat()[idx])
-    C = np.concatenate(cands, axis=0)
-    if C.shape[0] > max_candidates:
-        # keep the worst points only
-        th_all = _schur_threshold(C, tval)
-        order = np.argsort(th_all)[::-1][:max_candidates]
-        C = C[order]
-
-    shift_slots = np.zeros((10, 10))
-    for i in range(4):
-        shift_slots[i, i] = 1.0
+    shift_slots = np.diag([1.0] * 4 + [0.0] * 6)
     target_eye = tval * np.eye(10)
-
-    def feasible(r: float) -> bool:
-        mats = C + r * shift_slots - target_eye
-        return bool(jacobi_min_eigenvalue(mats).min() >= 0.0)
-
-    if feasible(0.0):
-        return 0.0
-    r_max = 1.0 + 10.0 * max_entry
-    if not feasible(r_max):
-        raise FieldDataError(
-            f"no shift up to r_max={r_max:g} makes the weight matrix "
-            f"positive semidefinite; Q assembly is corrupted")
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    r = max(0.0, float(cand_th.max()))
+    step = 4.0 * np.finfo(float).eps * (1.0 + r + float(np.abs(cand_Q).max()))
+    for _ in range(R0_ROUND_UPS):
+        mats = cand_Q + r * shift_slots - target_eye
+        if jacobi_min_eigenvalue(mats).min() >= 0.0:
+            return float(r)
+        r += step
+        step *= 2.0
+    raise FieldDataError(
+        f"no shift near the closed-form value r={r:g} makes the weight "
+        f"matrix positive semidefinite; Q assembly is corrupted")
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +492,6 @@ class SampleTrajectory:
         induction flux gains curl(curl_source). The recovered residuals are
         then psi, varphi and curl(curl_source) up to time-difference error.
         """
-        from .abi import cross3
         from .stepping import rk4_step
 
         g = h0.grid
@@ -716,8 +711,6 @@ def identity_residual_check(sol: SampleTrajectory,
     + varphi.(v - v*)).  Time derivatives are centered differences on the
     sample grid, so both sides are reported at interior times only.
     """
-    from .abi import cross3
-
     g = sol.grid
     da = g.dealias_arr
     T = len(sol)
@@ -744,15 +737,13 @@ def identity_residual_check(sol: SampleTrajectory,
         dB = (sol.B[k + 1] - sol.B[k - 1]) / dt_span
 
         phi = dB + g.curl_arr(da((D + cross3(B, P)) * r))
-        psi = D - g.curl_arr(da(B * r))
-        varphi = P - g.grad_arr(da(r))
-        for i in range(3):
-            varphi[i] -= g.div_arr(da(B[i] * B * r))
+        D_c, P_c = _constitutive_arrays(g, h, B, h_floor)
+        psi = D - D_c
+        varphi = P - P_c
 
         _, W = _modulated_fields(h, B, D, P, frame)
-        Q = q_matrix(frame).values
-        quad = float((np.einsum("xyzij,ixyz,jxyz->xyz", Q, W, W)
-                      / (2.0 * h)).mean())
+        quad = _q_form_integral(h, W, q_matrix(frame).values, h_floor,
+                                DEFAULT_U_FLOOR)
         lin = float((W * l_operator(frame)).sum(0).mean())
         lhs[k - 1] = dent + quad + lin
         term_scale = max(term_scale, abs(dent), abs(quad), abs(lin))

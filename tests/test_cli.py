@@ -96,6 +96,15 @@ class TestOtherSubcommands:
         grid, comps = read_snapshot(out / "abi_final.abim")
         assert len(comps) == 10
 
+    def test_abi_run_default_dt(self, tmp_path):
+        # the default dt must leave room for the step bound to shrink
+        cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nn = 16\n")
+        out = tmp_path / "o"
+        assert main(["abi-run", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        rows = (out / "abi_diagnostics.csv").read_text().splitlines()
+        assert len(rows) - 2 >= 2     # header and t = 0, then the steps
+
     def test_galerkin_run(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",
                         "[grid]\nn = 8\n"

@@ -134,6 +134,53 @@ class TestR0:
         with pytest.raises(FieldDataError):
             r0([constant_frame(grid16)], 2.0)
 
+    @staticmethod
+    def closed_form(frames, t=1.0):
+        """max(0, max over points of t + lambda_max(C C^T/(2-t) - A)),
+        evaluated with LAPACK."""
+        worst = -math.inf
+        for f in frames:
+            Q = q_matrix(f).flat()
+            A, C = Q[:, :4, :4], Q[:, :4, 4:]
+            S = C @ C.swapaxes(1, 2) / (2.0 - t) - A
+            worst = max(worst, t + np.linalg.eigvalsh(S)[:, -1].max())
+        return max(0.0, worst)
+
+    def test_matches_closed_form_oracle(self, grid16, rng):
+        families = [[random_frame(grid16, rng, kmax=2, amplitude=a)]
+                    for a in (0.1, 0.3, 0.6)]
+        families.append([random_frame(grid16, rng, t=0.1 * k, amplitude=0.3)
+                         for k in range(3)])
+        for frames in families:
+            for target in ("identity", 0.5):
+                t = 1.0 if target == "identity" else target
+                r = r0(frames, target)
+                assert type(r) is float
+                assert abs(r - self.closed_form(frames, t)) <= 1e-12 * (1 + r)
+
+    def test_shifted_matrix_positive_at_every_point(self, grid16, rng):
+        frames = [random_frame(grid16, rng, t=0.1 * k, amplitude=0.5)
+                  for k in range(2)]
+        r = r0(frames)
+        for f in frames:
+            M = q_matrix(f).shifted(r).reshape(-1, 10, 10) - np.eye(10)
+            assert np.linalg.eigvalsh(M)[:, 0].min() >= -1e-12 * (1 + r)
+
+    def test_corrupted_fixed_block_raises(self, grid16, rng, monkeypatch):
+        import abimhd.entropy as entropy
+
+        honest = entropy.q_matrix
+
+        def corrupted(frame):
+            Q = honest(frame)
+            M = Q.values.copy()
+            M[..., 4:, 4:] *= 0.25          # 0.5 I instead of 2 I
+            return entropy.QMatrixField(Q.grid, M)
+
+        monkeypatch.setattr(entropy, "q_matrix", corrupted)
+        with pytest.raises(FieldDataError, match="corrupted"):
+            r0([random_frame(grid16, rng, amplitude=0.3)])
+
 
 class TestLOperator:
     def test_trivial_solution_frame(self, grid16):
