@@ -25,14 +25,13 @@ from typing import Literal
 import numpy as np
 
 from .fields import (
-    DEFAULT_H_FLOOR,
     GridSpec,
     ScalarField,
     VectorField3,
     guarded_reciprocal,
     require_positive,
 )
-from .stepping import StepSizeError, check_blowup, rk4_step
+from .stepping import StepSizeError, march, rk4_step
 
 __all__ = [
     "AbiState",
@@ -106,8 +105,8 @@ class AbiTendency:
 
 
 def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray, D: np.ndarray,
-                P: np.ndarray, h_floor: float) -> tuple[np.ndarray, ...]:
-    r = guarded_reciprocal(h, h_floor)
+                P: np.ndarray) -> tuple[np.ndarray, ...]:
+    r = guarded_reciprocal(h)
     da = g.dealias_arr
     flux_B = da((cross3(B, P) + D) * r)
     flux_D = da((cross3(D, P) - B) * r)
@@ -122,30 +121,30 @@ def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray, D: np.ndarray,
     return dh, dB, dD, dP
 
 
-def abi_rhs(s: AbiState, h_floor: float = DEFAULT_H_FLOOR) -> AbiTendency:
+def abi_rhs(s: AbiState) -> AbiTendency:
     g = s.grid
     dh, dB, dD, dP = _rhs_arrays(g, s.h.values, s.B.values, s.D.values,
-                                 s.P.values, h_floor)
+                                 s.P.values)
     return AbiTendency(dh, dB, dD, dP)
 
 
-def abi_cfl_dt(s: AbiState, h_floor: float = DEFAULT_H_FLOOR) -> float:
+def abi_cfl_dt(s: AbiState) -> float:
     """Step bound 0.4 dx / (1 + max(|P/h| + |B/h| + |D/h| + 1/h))."""
-    r = guarded_reciprocal(s.h.values, h_floor)
+    r = guarded_reciprocal(s.h.values)
     speed = (vec_norm(s.P.values) + vec_norm(s.B.values)
              + vec_norm(s.D.values)) * r + r
     return CFL_SAFETY * s.grid.spacing / (1.0 + float(speed.max()))
 
 
-def abi_step(s: AbiState, dt: float, h_floor: float = DEFAULT_H_FLOOR) -> AbiState:
-    dt_max = abi_cfl_dt(s, h_floor)
+def abi_step(s: AbiState, dt: float) -> AbiState:
+    dt_max = abi_cfl_dt(s)
     if dt > dt_max * (1.0 + 1e-12):
         raise StepSizeError(
             f"dt={dt:g} violates the advective step bound {dt_max:g}", dt_max)
     g = s.grid
 
     def rhs(y):
-        return _rhs_arrays(g, *y, h_floor)
+        return _rhs_arrays(g, *y)
 
     h, B, D, P = rk4_step((s.h.values, s.B.values, s.D.values, s.P.values),
                           dt, rhs)
@@ -181,9 +180,9 @@ def abi_constraints(s: AbiState) -> ConstraintNorms:
     )
 
 
-def abi_entropy(s: AbiState, h_floor: float = DEFAULT_H_FLOOR) -> float:
+def abi_entropy(s: AbiState) -> float:
     """Conserved convex entropy integral((1 + B^2 + D^2 + P^2) / (2h))."""
-    r = guarded_reciprocal(s.h.values, h_floor)
+    r = guarded_reciprocal(s.h.values)
     nsq = ((s.B.values ** 2).sum(0) + (s.D.values ** 2).sum(0)
            + (s.P.values ** 2).sum(0))
     return float(((1.0 + nsq) * r * 0.5).mean())
@@ -214,35 +213,23 @@ class AbiTrajectory:
 
 
 def abi_run(s0: AbiState, dt: float, n_steps: int,
-            h_floor: float = DEFAULT_H_FLOOR, save_every: int = 1,
-            blowup_factor: float = 10.0) -> AbiTrajectory:
+            save_every: int = 1) -> AbiTrajectory:
     """March n_steps of RK4, saving states every `save_every` steps.
 
-    A blow-up detector terminates the run (with a diagnostic) as soon as any
-    field's sup norm exceeds `blowup_factor` times the initial scale.
+    Diagnostics are recorded at every step. A blow-up detector terminates
+    the run (with a diagnostic) as soon as any field's sup norm exceeds
+    `stepping.BLOWUP_FACTOR` times the initial scale.
     """
-    scale0 = s0.sup_scale()
-
-    def diag_row(t: float, s: AbiState) -> tuple[float, ...]:
+    def observe(t: float, s: AbiState):
         c = abi_constraints(s)
         vmax = float((vec_norm(s.P.values)
-                      * guarded_reciprocal(s.h.values, h_floor)).max())
-        return (t, abi_entropy(s, h_floor), *c.as_tuple(),
-                float(s.h.values.min()), vmax)
+                      * guarded_reciprocal(s.h.values)).max())
+        return s, (t, abi_entropy(s), *c.as_tuple(),
+                   float(s.h.values.min()), vmax)
 
-    times = [0.0]
-    states = [s0]
-    diags = [diag_row(0.0, s0)]
-    s = s0
-    for k in range(1, n_steps + 1):
-        s = abi_step(s, dt, h_floor)
-        check_blowup(s.sup_scale(), scale0, blowup_factor, "abi_run")
-        t = k * dt
-        diags.append(diag_row(t, s))
-        if k % save_every == 0 or k == n_steps:
-            times.append(t)
-            states.append(s)
-    return AbiTrajectory(times, states, diags)
+    return AbiTrajectory(*march(
+        s0, abi_step, [k * dt for k in range(1, n_steps + 1)], lambda s: dt,
+        save_every, observe, AbiState.sup_scale))
 
 
 # ----------------------------------------------------------------------
@@ -305,20 +292,19 @@ def nc_rhs(s: NonConsState, reduction: Reduction = "none") -> NcTendency:
     return NcTendency(dtau, db, dd, dv)
 
 
-def nc_from_abi(s: AbiState, h_floor: float = DEFAULT_H_FLOOR) -> NonConsState:
+def nc_from_abi(s: AbiState) -> NonConsState:
     g = s.grid
-    r = guarded_reciprocal(s.h.values, h_floor)
+    r = guarded_reciprocal(s.h.values)
     return NonConsState(ScalarField(g, r),
                         VectorField3(g, s.B.values * r),
                         VectorField3(g, s.D.values * r),
                         VectorField3(g, s.P.values * r))
 
 
-def abi_tendency_from_nc(s: NonConsState, t: NcTendency,
-                         tau_floor: float = DEFAULT_H_FLOOR) -> AbiTendency:
+def abi_tendency_from_nc(s: NonConsState, t: NcTendency) -> AbiTendency:
     """Chain rule back to conservative tendencies: h = 1/tau, B = b/tau, ..."""
     tau = s.tau.values
-    require_positive(tau, tau_floor, "tau")
+    require_positive(tau, name="tau")
     inv = 1.0 / tau
     inv2 = inv * inv
     dh = -t.dtau * inv2

@@ -30,13 +30,13 @@ from .dmhd import (
 )
 from .entropy import TestFieldFrame
 from .fields import (
-    DEFAULT_H_FLOOR,
     FieldDataError,
     ScalarField,
     VectorField3,
     guarded_reciprocal,
 )
 from .snapshots import format_float, write_csv
+from .stepping import march
 
 __all__ = [
     "RateFit",
@@ -50,41 +50,18 @@ __all__ = [
 ]
 
 
-def _run_at_times(s0, sample_times: Sequence[float], cfl_dt, step,
-                  cfl_fraction: float, h_floor: float):
-    """March at cfl_fraction of the step bound, landing exactly on each
-    sample time; returns the sample times (0 first) and states."""
-    times = [0.0]
-    states = [s0]
-    s = s0
-    t = 0.0
-    for target in sample_times:
-        if target <= t + 1e-15:
-            raise FieldDataError("sample times must be increasing and positive")
-        while t < target - 1e-14:
-            dt = min(cfl_fraction * cfl_dt(s, h_floor), target - t)
-            s = step(s, dt, h_floor)
-            t += dt
-        t = target
-        times.append(t)
-        states.append(s)
-    return times, states
-
-
 def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
-                     cfl_fraction: float = 0.5,
-                     h_floor: float = DEFAULT_H_FLOOR) -> AbiTrajectory:
+                     cfl_fraction: float = 0.5) -> AbiTrajectory:
     """March the conservative system, landing exactly on each sample time."""
-    return AbiTrajectory(*_run_at_times(s0, sample_times, abi_cfl_dt, abi_step,
-                                        cfl_fraction, h_floor), [])
+    return AbiTrajectory(*march(s0, abi_step, sample_times,
+                                lambda s: cfl_fraction * abi_cfl_dt(s)))
 
 
 def dmhd_run_at_times(s0: DmhdState, sample_times: Sequence[float],
-                      cfl_fraction: float = 0.5,
-                      h_floor: float = DEFAULT_H_FLOOR) -> DmhdTrajectory:
+                      cfl_fraction: float = 0.5) -> DmhdTrajectory:
     """March the diffusion system, landing exactly on each sample time."""
-    return DmhdTrajectory(*_run_at_times(s0, sample_times, dmhd_cfl_dt,
-                                         dmhd_step, cfl_fraction, h_floor), [])
+    return DmhdTrajectory(*march(s0, dmhd_step, sample_times,
+                                 lambda s: cfl_fraction * dmhd_cfl_dt(s)))
 
 
 @dataclass
@@ -109,8 +86,7 @@ class ComparisonSeries:
 
 
 def run_sampled(h0: ScalarField, B0: VectorField3,
-                sample_times: Sequence[float], cfl_fraction: float = 0.5,
-                h_floor: float = DEFAULT_H_FLOOR
+                sample_times: Sequence[float], cfl_fraction: float = 0.5
                 ) -> tuple[AbiTrajectory, DmhdTrajectory]:
     """Run both systems from (h0, B0); the diffusion run is sampled at
     theta_j = t_j^2 / 2."""
@@ -118,15 +94,14 @@ def run_sampled(h0: ScalarField, B0: VectorField3,
     zero = VectorField3.zero(g)
     abi0 = AbiState(h0, B0, zero, zero)
     ts = list(sample_times)
-    abi_traj = abi_run_at_times(abi0, ts, cfl_fraction, h_floor)
+    abi_traj = abi_run_at_times(abi0, ts, cfl_fraction)
     thetas = [t * t / 2.0 for t in ts]
-    dmhd_traj = dmhd_run_at_times(DmhdState(h0, B0), thetas, cfl_fraction,
-                                  h_floor)
+    dmhd_traj = dmhd_run_at_times(DmhdState(h0, B0), thetas, cfl_fraction)
     return abi_traj, dmhd_traj
 
 
-def error_curves(abi_traj: AbiTrajectory, dmhd_traj: DmhdTrajectory,
-                 h_floor: float = DEFAULT_H_FLOOR) -> ComparisonSeries:
+def error_curves(abi_traj: AbiTrajectory,
+                 dmhd_traj: DmhdTrajectory) -> ComparisonSeries:
     """L1 errors of the matched fields and cumulative flux errors.
 
     Requires aligned sampling: the diffusion trajectory's k-th positive time
@@ -158,7 +133,7 @@ def error_curves(abi_traj: AbiTrajectory, dmhd_traj: DmhdTrajectory,
         sd = dmhd_traj.states[k + 1]
         err_h[k] = float(np.abs(sa.h.values - sd.h.values).mean())
         err_B[k] = float(vec_norm(sa.B.values - sd.B.values).mean())
-        Dk, Pk = _constitutive_arrays(g, sd.h.values, sd.B.values, h_floor)
+        Dk, Pk = _constitutive_arrays(g, sd.h.values, sd.B.values)
         inst_D[k + 1] = float(vec_norm(sa.D.values - t * Dk).mean())
         inst_P[k + 1] = float(vec_norm(sa.P.values - t * Pk).mean())
 
@@ -171,7 +146,6 @@ def error_curves(abi_traj: AbiTrajectory, dmhd_traj: DmhdTrajectory,
 
 
 def rescaled_test_fields(abi_traj: AbiTrajectory,
-                         h_floor: float = DEFAULT_H_FLOOR,
                          max_first_sample: float = 0.02
                          ) -> list[TestFieldFrame]:
     """Test-field frames on the theta = t^2/2 grid from a conservative run.
@@ -194,7 +168,7 @@ def rescaled_test_fields(abi_traj: AbiTrajectory,
 
     tau_s, b_s, d_s, v_s = [], [], [], []
     for t, s in zip(times, abi_traj.states):
-        r = guarded_reciprocal(s.h.values, h_floor)
+        r = guarded_reciprocal(s.h.values)
         tau_s.append(r)
         b_s.append(s.B.values * r)
         if t > 0:

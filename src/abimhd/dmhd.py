@@ -23,13 +23,13 @@ import numpy as np
 
 from .abi import cross3, vec_norm
 from .fields import (
-    DEFAULT_H_FLOOR,
+    FieldDataError,
     GridSpec,
     ScalarField,
     VectorField3,
     guarded_reciprocal,
 )
-from .stepping import StepSizeError, check_blowup, rk4_step
+from .stepping import StepSizeError, march, rk4_step
 
 __all__ = [
     "DmhdState",
@@ -67,9 +67,9 @@ class DmhdState:
         return max(self.h.sup_norm(), self.B.sup_norm())
 
 
-def _constitutive_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
-                         h_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    r = guarded_reciprocal(h, h_floor)
+def _constitutive_arrays(g: GridSpec, h: np.ndarray,
+                         B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r = guarded_reciprocal(h)
     da = g.dealias_arr
     D = g.curl_arr(da(B * r))
     rd = da(r)
@@ -79,16 +79,16 @@ def _constitutive_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
     return D, P
 
 
-def constitutive(s: DmhdState,
-                 h_floor: float = DEFAULT_H_FLOOR) -> tuple[VectorField3, VectorField3]:
-    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values, h_floor)
+def constitutive(s: DmhdState) -> tuple[VectorField3, VectorField3]:
+    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values)
     return VectorField3(s.grid, D), VectorField3(s.grid, P)
 
 
-def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
-                h_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    D, P = _constitutive_arrays(g, h, B, h_floor)
-    r = guarded_reciprocal(h, h_floor)
+def _tendency_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
+                     D: np.ndarray, P: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(dt h, dt B) from the constitutive D and P of (h, B)."""
+    r = guarded_reciprocal(h)
     da = g.dealias_arr
     v = da(P * r)
     d = da(D * r)
@@ -97,36 +97,39 @@ def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
     return dh, dB
 
 
-def dmhd_rhs(s: DmhdState,
-             h_floor: float = DEFAULT_H_FLOOR) -> tuple[ScalarField, VectorField3]:
-    dh, dB = _rhs_arrays(s.grid, s.h.values, s.B.values, h_floor)
+def _rhs_arrays(g: GridSpec, h: np.ndarray,
+                B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _tendency_arrays(g, h, B, *_constitutive_arrays(g, h, B))
+
+
+def dmhd_rhs(s: DmhdState) -> tuple[ScalarField, VectorField3]:
+    dh, dB = _rhs_arrays(s.grid, s.h.values, s.B.values)
     return ScalarField(s.grid, dh), VectorField3(s.grid, dB)
 
 
-def dmhd_cfl_dt(s: DmhdState, h_floor: float = DEFAULT_H_FLOOR) -> float:
+def dmhd_cfl_dt(s: DmhdState) -> float:
     """Parabolic step bound c dx^2 min(h)^2 / (1 + max|B/h|)^2.
 
     The induction diffusivity scales like 1/h^2 and the spectral cutoff
     like 1/dx, hence the quadratic dependence on both.
     """
     h = s.h.values
-    r = guarded_reciprocal(h, h_floor)
+    r = guarded_reciprocal(h)
     bmax = float((vec_norm(s.B.values) * r).max())
     hmin = float(h.min())
     return (PARABOLIC_SAFETY * s.grid.spacing ** 2 * hmin ** 2
             / (1.0 + bmax) ** 2)
 
 
-def dmhd_step(s: DmhdState, dt: float,
-              h_floor: float = DEFAULT_H_FLOOR) -> DmhdState:
-    dt_max = dmhd_cfl_dt(s, h_floor)
+def dmhd_step(s: DmhdState, dt: float) -> DmhdState:
+    dt_max = dmhd_cfl_dt(s)
     if dt > dt_max * (1.0 + 1e-12):
         raise StepSizeError(
             f"dt={dt:g} violates the parabolic step bound {dt_max:g}", dt_max)
     g = s.grid
 
     def rhs(y):
-        return _rhs_arrays(g, y[0], y[1], h_floor)
+        return _rhs_arrays(g, y[0], y[1])
 
     h, B = rk4_step((s.h.values, s.B.values), dt, rhs)
     if h.min() <= 0.0:
@@ -135,14 +138,14 @@ def dmhd_step(s: DmhdState, dt: float,
     return DmhdState(ScalarField(g, h), VectorField3(g, B))
 
 
-def energy(s: DmhdState, h_floor: float = DEFAULT_H_FLOOR) -> float:
-    r = guarded_reciprocal(s.h.values, h_floor)
+def energy(s: DmhdState) -> float:
+    r = guarded_reciprocal(s.h.values)
     return float((((s.B.values ** 2).sum(0) + 1.0) * r * 0.5).mean())
 
 
-def dissipation(s: DmhdState, h_floor: float = DEFAULT_H_FLOOR) -> float:
-    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values, h_floor)
-    r = guarded_reciprocal(s.h.values, h_floor)
+def dissipation(s: DmhdState) -> float:
+    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values)
+    r = guarded_reciprocal(s.h.values)
     return float((((D ** 2).sum(0) + (P ** 2).sum(0)) * r).mean())
 
 
@@ -159,39 +162,36 @@ class DmhdTrajectory:
 
 
 def dmhd_run(s0: DmhdState, dt: float, n_steps: int,
-             h_floor: float = DEFAULT_H_FLOOR, save_every: int = 1,
-             blowup_factor: float = 10.0) -> DmhdTrajectory:
-    scale0 = s0.sup_scale()
+             save_every: int = 1) -> DmhdTrajectory:
+    """March n_steps of RK4, saving states every `save_every` steps.
 
-    def diag_row(t: float, s: DmhdState) -> tuple[float, ...]:
-        return (t, energy(s, h_floor), dissipation(s, h_floor),
-                float(s.h.values.mean()), s.div_B_sup(),
-                float(s.h.values.min()))
+    Diagnostics are recorded at every step; the run aborts once a sup norm
+    exceeds `stepping.BLOWUP_FACTOR` times the initial scale.
+    """
+    def observe(t: float, s: DmhdState):
+        return s, (t, energy(s), dissipation(s), float(s.h.values.mean()),
+                   s.div_B_sup(), float(s.h.values.min()))
 
-    times = [0.0]
-    states = [s0]
-    diags = [diag_row(0.0, s0)]
-    s = s0
-    for k in range(1, n_steps + 1):
-        s = dmhd_step(s, dt, h_floor)
-        check_blowup(s.sup_scale(), scale0, blowup_factor, "dmhd_run")
-        t = k * dt
-        diags.append(diag_row(t, s))
-        if k % save_every == 0 or k == n_steps:
-            times.append(t)
-            states.append(s)
-    return DmhdTrajectory(times, states, diags)
+    return DmhdTrajectory(*march(
+        s0, dmhd_step, [k * dt for k in range(1, n_steps + 1)], lambda s: dt,
+        save_every, observe, DmhdState.sup_scale))
 
 
-def energy_balance_residual(traj: DmhdTrajectory, dt: float,
-                            h_floor: float = DEFAULT_H_FLOOR) -> np.ndarray:
+def energy_balance_residual(traj: DmhdTrajectory, dt: float) -> np.ndarray:
     """Per-step defect of the discrete energy identity.
 
     r_k = (E_{k+1} - E_k)/dt + (dissipation_k + dissipation_{k+1})/2, using
     the endpoint average as the second-order midpoint dissipation quadrature.
-    Requires a trajectory saved at every step (uniform dt).
+    Reads the diagnostics, which `dmhd_run` records at every step of its
+    uniform dt whatever `save_every` is; a trajectory with fewer than two
+    diagnostic rows (such as one from `compare.dmhd_run_at_times`) raises
+    FieldDataError.
     """
     diags = traj.diagnostics
+    if len(diags) < 2:
+        raise FieldDataError(
+            "energy balance needs the per-step diagnostics of dmhd_run; "
+            f"the trajectory has {len(diags)} diagnostic rows")
     e = np.array([row[1] for row in diags])
     q = np.array([row[2] for row in diags])
     return (e[1:] - e[:-1]) / dt + 0.5 * (q[1:] + q[:-1])

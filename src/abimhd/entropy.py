@@ -34,7 +34,7 @@ import numpy as np
 
 from ._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
 from .abi import cross3
-from .dmhd import DmhdTrajectory, _constitutive_arrays, _rhs_arrays
+from .dmhd import DmhdTrajectory, _constitutive_arrays, _tendency_arrays
 from .fields import (
     DEFAULT_H_FLOOR,
     FieldDataError,
@@ -135,8 +135,7 @@ def random_frame(grid: GridSpec, rng: np.random.Generator, t: float = 0.0,
     )
 
 
-def frames_from_dmhd(traj: DmhdTrajectory,
-                     h_floor: float = DEFAULT_H_FLOOR) -> list[TestFieldFrame]:
+def frames_from_dmhd(traj: DmhdTrajectory) -> list[TestFieldFrame]:
     """Convert a solver trajectory into frames (1/h, B/h, D/h, P/h).
 
     The time derivatives are assembled analytically from the equations of
@@ -148,9 +147,9 @@ def frames_from_dmhd(traj: DmhdTrajectory,
         g = s.grid
         h = s.h.values
         B = s.B.values
-        r = guarded_reciprocal(h, h_floor)
-        D, P = _constitutive_arrays(g, h, B, h_floor)
-        dh, dB = _rhs_arrays(g, h, B, h_floor)
+        r = guarded_reciprocal(h)
+        D, P = _constitutive_arrays(g, h, B)
+        dh, dB = _tendency_arrays(g, h, B, D, P)
         frames.append(TestFieldFrame(
             t,
             ScalarField(g, r),
@@ -292,31 +291,31 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
 # ----------------------------------------------------------------------
 
 def lambda_functional(rho: ScalarField, U: np.ndarray,
-                      h_floor: float = DEFAULT_H_FLOOR,
-                      u_floor: float = DEFAULT_U_FLOOR) -> float:
+                      h_floor: float = DEFAULT_H_FLOOR) -> float:
     """Closed form of the modulated-energy functional on densities.
 
-    Returns integral(|U|^2 / (2 rho)) when rho stays above the floor; if
-    rho vanishes (below the floor) on a set where |U| exceeds u_floor the
-    functional is +infinity. Negative rho is rejected.
+    Returns integral(|U|^2 / (2 rho)) when rho stays above h_floor; if rho
+    vanishes (at or below the floor) on a set where |U| exceeds
+    DEFAULT_U_FLOOR the functional is +infinity. Negative rho is rejected.
     """
     rv = rho.values
     if rv.min() < 0.0:
         raise FieldDataError("lambda_functional requires rho >= 0")
     U = np.asarray(U, dtype=float)
-    return _floored_quotient((U ** 2).sum(0), rv, U, h_floor, u_floor)
+    return _floored_quotient((U ** 2).sum(0), rv, U, h_floor)
 
 
 def _floored_quotient(num: np.ndarray, rho: np.ndarray, X: np.ndarray,
-                      h_floor: float, u_floor: float) -> float:
+                      h_floor: float) -> float:
     """integral(num / (2 rho)) with rho floored at h_floor.
 
     Points with rho at or below the floor contribute zero while the field X
-    stays within u_floor there; anywhere else the integral is +infinity.
+    stays within DEFAULT_U_FLOOR there; anywhere else the integral is
+    +infinity.
     """
     ok = rho > h_floor
     if not ok.all():
-        if np.any(np.sqrt((X ** 2).sum(0)[~ok]) > u_floor):
+        if np.any(np.sqrt((X ** 2).sum(0)[~ok]) > DEFAULT_U_FLOOR):
             return math.inf
         return float(np.where(ok, num / np.where(ok, 2.0 * rho, 1.0), 0.0).mean())
     return float((num / (2.0 * rho)).mean())
@@ -349,17 +348,15 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
     return best
 
 
-def _q_form_integral(h: np.ndarray, W: np.ndarray, Q: np.ndarray,
-                     h_floor: float, u_floor: float) -> float:
+def _q_form_integral(h: np.ndarray, W: np.ndarray, Q: np.ndarray) -> float:
     """integral(W^T Q W / (2 h)); +inf marker on positivity loss."""
     quad = np.einsum("xyzij,ixyz,jxyz->xyz", Q, W, W)
-    return _floored_quotient(quad, h, W, h_floor, u_floor)
+    return _floored_quotient(quad, h, W, DEFAULT_H_FLOOR)
 
 
 def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
                  W_list: Sequence[np.ndarray], Q_list: Sequence[np.ndarray],
-                 s: float, t: float, h_floor: float = DEFAULT_H_FLOOR,
-                 u_floor: float = DEFAULT_U_FLOOR) -> float:
+                 s: float, t: float) -> float:
     """Time-quadrature (trapezoidal) of integral(W^T Q W / (2 rho)) on [s, t].
 
     The three lists share the time axis `times`; s and t must be sample
@@ -376,7 +373,7 @@ def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
     vals = []
     for k in range(i0, i1 + 1):
         v = _q_form_integral(np.asarray(rho_list[k]), np.asarray(W_list[k]),
-                             np.asarray(Q_list[k]), h_floor, u_floor)
+                             np.asarray(Q_list[k]))
         if math.isinf(v):
             return math.inf
         vals.append(v)
@@ -482,8 +479,8 @@ class SampleTrajectory:
     def manufactured(cls, h0: ScalarField, B0: VectorField3, dt: float,
                      n_steps: int, psi: np.ndarray | None = None,
                      varphi: np.ndarray | None = None,
-                     curl_source: np.ndarray | None = None,
-                     h_floor: float = DEFAULT_H_FLOOR) -> "SampleTrajectory":
+                     curl_source: np.ndarray | None = None
+                     ) -> "SampleTrajectory":
         """Trajectory with prescribed defect residuals for identity tests.
 
         h is evolved by -div P and B through a curl (so the continuity
@@ -492,7 +489,7 @@ class SampleTrajectory:
         induction flux gains curl(curl_source). The recovered residuals are
         then psi, varphi and curl(curl_source) up to time-difference error.
         """
-        from .stepping import rk4_step
+        from .stepping import march, rk4_step
 
         g = h0.grid
         da = g.dealias_arr
@@ -501,39 +498,31 @@ class SampleTrajectory:
         varphi = z if varphi is None else np.asarray(varphi, dtype=float)
 
         def derived(h, B):
-            D, P = _constitutive_arrays(g, h, B, h_floor)
+            D, P = _constitutive_arrays(g, h, B)
             return D + psi, P + varphi
 
         def rhs(y):
             h, B = y
             D, P = derived(h, B)
-            r = guarded_reciprocal(h, h_floor)
+            r = guarded_reciprocal(h)
             dB = -g.curl_arr(da((D + cross3(B, P)) * r))
             if curl_source is not None:
                 dB = dB + g.curl_arr(np.asarray(curl_source, dtype=float))
             return -g.div_arr(P), dB
 
-        times, hs, Bs, Ds, Ps = [], [], [], [], []
-        h, B = h0.values, B0.values
-        for k in range(n_steps + 1):
-            D, P = derived(h, B)
-            times.append(k * dt)
-            hs.append(h)
-            Bs.append(B)
-            Ds.append(D)
-            Ps.append(P)
-            if k < n_steps:
-                h, B = rk4_step((h, B), dt, rhs)
-        return cls(g, np.asarray(times), np.stack(hs), np.stack(Bs),
-                   np.stack(Ds), np.stack(Ps))
+        times, samples, _ = march(
+            (h0.values, B0.values), lambda y, dt: rk4_step(y, dt, rhs),
+            [k * dt for k in range(1, n_steps + 1)], lambda y: dt,
+            observe=lambda t, y: ((*y, *derived(*y)), None))
+        hs, Bs, Ds, Ps = (np.stack(f) for f in zip(*samples))
+        return cls(g, np.asarray(times), hs, Bs, Ds, Ps)
 
     @classmethod
-    def from_dmhd(cls, traj: DmhdTrajectory,
-                  h_floor: float = DEFAULT_H_FLOOR) -> "SampleTrajectory":
+    def from_dmhd(cls, traj: DmhdTrajectory) -> "SampleTrajectory":
         g = traj.states[0].grid
         hs, Bs, Ds, Ps = [], [], [], []
         for s in traj.states:
-            D, P = _constitutive_arrays(g, s.h.values, s.B.values, h_floor)
+            D, P = _constitutive_arrays(g, s.h.values, s.B.values)
             hs.append(s.h.values)
             Bs.append(s.B.values)
             Ds.append(D)
@@ -628,9 +617,8 @@ class EntropyReport:
 
 
 def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
-                      r: float, h_floor: float = DEFAULT_H_FLOOR,
-                      u_floor: float = DEFAULT_U_FLOOR,
-                      r0_value: float | None = None) -> EntropyReport:
+                      r: float, r0_value: float | None = None
+                      ) -> EntropyReport:
     """Evaluate the dissipative-solution inequality along a trajectory.
 
     The slack series is e^{-rt} Lambda(t) + Lambda~(0, t) + R(t) - Lambda(0);
@@ -656,11 +644,10 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
         frame = frames[k]
         h = sol.h[k]
         U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frame)
-        lam[k] = lambda_functional(ScalarField(sol.grid, h), U,
-                                   h_floor, u_floor)
+        lam[k] = lambda_functional(ScalarField(sol.grid, h), U)
         Qr = q_matrix(frame).shifted(r)
         wt = math.exp(-r * sol.times[k])
-        q_int[k] = wt * _q_form_integral(h, W, Qr, h_floor, u_floor)
+        q_int[k] = wt * _q_form_integral(h, W, Qr)
         r_int[k] = wt * float((W * l_operator(frame)).sum(0).mean())
 
     dt_seg = np.diff(sol.times)
@@ -694,8 +681,8 @@ class IdentityCheck:
 
 
 def identity_residual_check(sol: SampleTrajectory,
-                            frames: Sequence[TestFieldFrame],
-                            h_floor: float = DEFAULT_H_FLOOR) -> IdentityCheck:
+                            frames: Sequence[TestFieldFrame]
+                            ) -> IdentityCheck:
     """Evaluate both sides of the modulated-energy identity with residuals.
 
     For fields that satisfy the continuity equation and div B = 0 (by
@@ -731,19 +718,18 @@ def identity_residual_check(sol: SampleTrajectory,
         h = sol.h[k]
         B, D, P = sol.B[k], sol.D[k], sol.P[k]
         frame = frames[k]
-        r = guarded_reciprocal(h, h_floor)
+        r = guarded_reciprocal(h)
         dt_span = times[k + 1] - times[k - 1]
         dent = (ent[k + 1] - ent[k - 1]) / dt_span
         dB = (sol.B[k + 1] - sol.B[k - 1]) / dt_span
 
         phi = dB + g.curl_arr(da((D + cross3(B, P)) * r))
-        D_c, P_c = _constitutive_arrays(g, h, B, h_floor)
+        D_c, P_c = _constitutive_arrays(g, h, B)
         psi = D - D_c
         varphi = P - P_c
 
         _, W = _modulated_fields(h, B, D, P, frame)
-        quad = _q_form_integral(h, W, q_matrix(frame).values, h_floor,
-                                DEFAULT_U_FLOOR)
+        quad = _q_form_integral(h, W, q_matrix(frame).values)
         lin = float((W * l_operator(frame)).sum(0).mean())
         lhs[k - 1] = dent + quad + lin
         term_scale = max(term_scale, abs(dent), abs(quad), abs(lin))

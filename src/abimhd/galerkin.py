@@ -49,7 +49,7 @@ from .fields import (
     VectorField3,
     guarded_reciprocal,
 )
-from .stepping import BlowUpError, StepSizeError, check_blowup, rk4_step
+from .stepping import BlowUpError, StepSizeError, march, rk4_step
 
 logger = logging.getLogger(__name__)
 
@@ -480,7 +480,6 @@ class GalerkinConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 60
     sigma: float = 0.01
-    h_floor: float = DEFAULT_H_FLOOR
     dt_flow: float = 1e-3
 
     def __post_init__(self):
@@ -521,10 +520,10 @@ class GalerkinTrajectory:
         return np.array([row[1] for row in self.diagnostics])
 
 
-def _grid_sources(g: GridSpec, tb: TrigBasis, h, B, d, v, eps, h_floor):
+def _grid_sources(g: GridSpec, tb: TrigBasis, h, B, d, v, eps):
     """Grid parts of the projected sources (hyper and h d / h v terms excluded)."""
     da = g.dealias_arr
-    r = guarded_reciprocal(h, h_floor)
+    r = guarded_reciprocal(h)
     b = da(B * r)
     inv_eps = 1.0 / eps
 
@@ -533,7 +532,7 @@ def _grid_sources(g: GridSpec, tb: TrigBasis, h, B, d, v, eps, h_floor):
         row = da(h * (d[i] * v - v[i] * d))
         S[i] -= g.div_arr(row)
 
-    _, P_const = _constitutive_arrays(g, h, B, h_floor)
+    _, P_const = _constitutive_arrays(g, h, B)
     jac_d = g.jacobian_arr(d)
     Ngrid = inv_eps * P_const
     Ngrid += da(h * np.einsum("jxyz,ijxyz->ixyz", d, jac_d))
@@ -554,7 +553,7 @@ def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig):
     dh = -g.div_arr(da(h * v))
     dB = -g.curl_arr(da(cross3(B, v)) + d)
 
-    S, Ngrid = _grid_sources(g, tb, h, B, d, v, cfg.eps, cfg.h_floor)
+    S, Ngrid = _grid_sources(g, tb, h, B, d, v, cfg.eps)
     lam_l = tb.lam ** cfg.l
     s_d = tb.project(S) - lam_l * cd - chi_d / cfg.eps
     s_v = tb.project(Ngrid) - lam_l * cv - chi_v / cfg.eps
@@ -592,8 +591,8 @@ def galerkin_stable_dt(state: GalerkinState, tb: TrigBasis,
     return 0.5 * 2.8 / (rate + adv + 1.0)
 
 
-def _energy_parts(g, tb, h, B, chi_d, chi_v, cd, cv, eps, l, h_floor):
-    r = guarded_reciprocal(h, h_floor)
+def _energy_parts(g, tb, h, B, chi_d, chi_v, cd, cv, eps, l):
+    r = guarded_reciprocal(h)
     lam_en = float((((B ** 2).sum(0) + 1.0) * r * 0.5).mean())
     kinetic = float((cd * chi_d).sum() + (cv * chi_v).sum())
     diss = kinetic
@@ -605,8 +604,7 @@ def _energy_parts(g, tb, h, B, chi_d, chi_v, cd, cv, eps, l, h_floor):
 
 def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
                  P0: VectorField3, cfg: GalerkinConfig,
-                 basis: BasisSpec | None = None,
-                 blowup_factor: float = 10.0) -> GalerkinTrajectory:
+                 basis: BasisSpec | None = None) -> GalerkinTrajectory:
     """Method-of-lines RK4 on (h, B, chi_d, chi_v) up to time T.
 
     Initial momentum coefficients are the dual projections of D0 and P0, so
@@ -620,48 +618,38 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     def rhs(y):
         return _galerkin_rhs_arrays(g, tb, y, cfg)
 
-    def make_state(t, y):
-        h, B, xd, xv = y
-        cho = _gram_cho(tb, h, 0.0)
-        cd = cho_solve(cho, xd.T).T
-        cv = cho_solve(cho, xv.T).T
-        return GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)
+    def galerkin_step(y, dt):
+        y = rk4_step(y, dt, rhs)
+        if y[0].min() <= 0.0:
+            raise StepSizeError(
+                f"h lost positivity after a step of dt={dt:g}", dt / 2)
+        return y
 
-    y = (h0.values.copy(), B0.values.copy(), chi_d, chi_v)
-    state0 = make_state(0.0, y)
-    dt_max = galerkin_stable_dt(state0, tb, cfg)
-    if cfg.dt > dt_max * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt={cfg.dt:g} exceeds the stability bound {dt_max:g} "
-            f"(hyperviscous order l={cfg.l}, eps={cfg.eps:g})", dt_max)
-
-    n_steps = max(1, int(round(cfg.T / cfg.dt)))
-    scale0 = max(float(np.abs(h0.values).max()), float(np.abs(B0.values).max()), 1.0)
-
-    def diag(t, y):
+    def observe(t, y):
+        """The primal state and its energy row, from one Gram factorization."""
         h, B, xd, xv = y
         cho = _gram_cho(tb, h, 0.0)
         cd = cho_solve(cho, xd.T).T
         cv = cho_solve(cho, xv.T).T
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
-                                           cfg.eps, cfg.l, cfg.h_floor)
-        return (t, lam_n, diss, hyper, float(h.min()))
+                                           cfg.eps, cfg.l)
+        state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)
+        return state, (t, lam_n, diss, hyper, float(h.min()))
 
-    times = [0.0]
-    states = [state0]
-    diags = [diag(0.0, y)]
-    for k in range(1, n_steps + 1):
-        y = rk4_step(y, cfg.dt, rhs)
-        if y[0].min() <= 0.0:
-            raise StepSizeError(
-                f"h lost positivity at step {k} (dt={cfg.dt:g})", cfg.dt / 2)
-        check_blowup(max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max())),
-                     scale0, blowup_factor, "galerkin_run")
-        t = k * cfg.dt
-        times.append(t)
-        states.append(make_state(t, y))
-        diags.append(diag(t, y))
-    return GalerkinTrajectory(times, states, diags)
+    y0 = (h0.values.copy(), B0.values.copy(), chi_d, chi_v)
+    dt_max = galerkin_stable_dt(observe(0.0, y0)[0], tb, cfg)
+    if cfg.dt > dt_max * (1.0 + 1e-12):
+        raise StepSizeError(
+            f"dt={cfg.dt:g} exceeds the stability bound {dt_max:g} "
+            f"(hyperviscous order l={cfg.l}, eps={cfg.eps:g})", dt_max)
+
+    def sup(y):
+        return max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+
+    n_steps = max(1, int(round(cfg.T / cfg.dt)))
+    return GalerkinTrajectory(*march(
+        y0, galerkin_step, [k * cfg.dt for k in range(1, n_steps + 1)],
+        lambda y: cfg.dt, observe=observe, sup=sup))
 
 
 # ----------------------------------------------------------------------
@@ -682,7 +670,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
     for t in quad_times:
         hf = transport_h(tb, cv_traj, h0_modal, t, g, cfg.dt_flow)
         Bf = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g, cfg.dt_flow)
-        if hf.values.min() <= cfg.h_floor:
+        if hf.values.min() <= DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
         hs.append(hf.values)
@@ -696,8 +684,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
         cv = cv_traj.at(t)
         d = tb.synthesize(cd)
         v = tb.synthesize(cv)
-        S, Ngrid = _grid_sources(g, tb, hs[i], Bs[i], d, v, cfg.eps,
-                                 cfg.h_floor)
+        S, Ngrid = _grid_sources(g, tb, hs[i], Bs[i], d, v, cfg.eps)
         hd = tb.project(g.dealias_arr(hs[i] * d))
         hv = tb.project(g.dealias_arr(hs[i] * v))
         s_d[i] = tb.project(S) - lam_l * cd - hd / cfg.eps
@@ -743,7 +730,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     def record(t_abs, h, B, cd, cv, xd, xv):
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
-                                           cfg.eps, cfg.l, cfg.h_floor)
+                                           cfg.eps, cfg.l)
         times.append(t_abs)
         states.append(GalerkinState(t_abs, ScalarField(g, h),
                                     VectorField3(g, B), cd, cv))

@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 PERIODIZATION_TAIL = 1e-16
+# lambda_functional's density floor in the monotonicity check, far below
+# DEFAULT_H_FLOOR: mollified densities are positive however small
+LAMBDA_H_FLOOR = 1e-300
 
 
 def gaussian_shell_count(eps: float, tail: float = PERIODIZATION_TAIL) -> int:
@@ -214,8 +217,8 @@ class MonotonicityReport:
 
 
 def lambda_monotonicity_check(data: RoughInitialData, eps_schedule,
-                              reference: float | None = None,
-                              h_floor: float = 1e-300) -> MonotonicityReport:
+                              reference: float | None = None
+                              ) -> MonotonicityReport:
     """Modulated energy of the mollified data along a decreasing eps schedule.
 
     For pure density data the rough reference integral((1+|B0|^2)/(2 h0)) is
@@ -232,10 +235,11 @@ def lambda_monotonicity_check(data: RoughInitialData, eps_schedule,
                             np.zeros((3, *data.grid.shape))
                             if data.B_density is None
                             else data.B_density.values])
-        reference = lambda_functional(data.h_density, U, h_floor=h_floor)
+        reference = lambda_functional(data.h_density, U,
+                                      h_floor=LAMBDA_H_FLOOR)
     values = []
     for eps in eps_schedule:
         h_eps, B_eps = mollify(data, eps)
         U_eps = np.concatenate([np.ones((1, *data.grid.shape)), B_eps.values])
-        values.append(lambda_functional(h_eps, U_eps, h_floor=h_floor))
+        values.append(lambda_functional(h_eps, U_eps, h_floor=LAMBDA_H_FLOOR))
     return MonotonicityReport(list(eps_schedule), values, reference)

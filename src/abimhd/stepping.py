@@ -1,10 +1,13 @@
-"""Shared explicit time-stepping helpers and solver error types."""
+"""Shared explicit time stepping: the RK4 step, the marching loop and the
+solver error types."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
+
+from .fields import FieldDataError
 
 
 class StepSizeError(ValueError):
@@ -20,6 +23,10 @@ class BlowUpError(RuntimeError):
 
 
 State = tuple[np.ndarray, ...]
+Y = TypeVar("Y")
+
+BLOWUP_FACTOR = 10.0    # sup-norm growth over the initial scale that aborts
+STOP_RTOL = 1e-12       # a step lands on a stop within this share of the stop
 
 
 def rk4_step(y: State, dt: float, rhs: Callable[[State], State]) -> State:
@@ -32,10 +39,65 @@ def rk4_step(y: State, dt: float, rhs: Callable[[State], State]) -> State:
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def check_blowup(sup_now: float, sup_initial: float, factor: float = 10.0,
-                 context: str = "run") -> None:
+def check_blowup(sup_now: float, sup_initial: float,
+                 factor: float = BLOWUP_FACTOR, context: str = "run") -> None:
     limit = factor * max(sup_initial, 1.0)
     if sup_now > limit:
         raise BlowUpError(
             f"{context}: sup norm {sup_now:.6g} exceeded {factor:g}x the "
             f"initial scale {sup_initial:.6g}; terminating")
+
+
+def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
+          dt_bound: Callable[[Y], float], keep_every: int = 1,
+          observe: Callable[[float, Y], tuple] | None = None,
+          sup: Callable[[Y], float] | None = None
+          ) -> tuple[list[float], list, list[tuple]]:
+    """Advance y0 from t = 0 through every stop; the one solver time loop.
+
+    Each step takes dt = dt_bound(y), shortened only when it would pass the
+    next stop by more than STOP_RTOL of that stop; a step that reaches the
+    stop within that tolerance lands the clock on it exactly. A fixed-step
+    run therefore passes stops k*dt and a constant bound dt: every step uses
+    dt unchanged and is stamped t_k = k*dt.
+
+    observe(t, y) runs at t = 0 and after every step and returns the record
+    to keep for that time with its diagnostic row (None for no row); without
+    it the record is y. Records are kept at t = 0, at every keep_every-th
+    stop and at the last stop; rows are kept at every call. With `sup`, a
+    step whose sup(y) exceeds BLOWUP_FACTOR times the initial scale raises
+    BlowUpError. Returns (times, records, rows).
+    """
+    stops = [float(s) for s in stops]
+    if not all(b > a for a, b in zip([0.0, *stops], stops)):
+        raise FieldDataError("stop times must be increasing and positive")
+
+    def record(t, y):
+        return (y, None) if observe is None else observe(t, y)
+
+    kept, row = record(0.0, y0)
+    times, records = [0.0], [kept]
+    rows = [] if row is None else [row]
+    sup0 = None if sup is None else sup(y0)
+    y, t = y0, 0.0
+    for j, stop in enumerate(stops, start=1):
+        landed = False
+        while not landed:
+            dt = dt_bound(y)
+            gap = stop - t
+            tol = STOP_RTOL * stop
+            landed = gap <= dt + tol
+            if gap < dt - tol:
+                dt = gap
+            y = step(y, dt)
+            t = stop if landed else t + dt
+            if sup is not None:
+                check_blowup(sup(y), sup0, BLOWUP_FACTOR,
+                             getattr(step, "__name__", "march"))
+            kept, row = record(t, y)
+            if row is not None:
+                rows.append(row)
+        if j % keep_every == 0 or j == len(stops):
+            times.append(t)
+            records.append(kept)
+    return times, records, rows

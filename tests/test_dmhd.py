@@ -13,7 +13,9 @@ from abimhd.dmhd import (
     energy_balance_residual,
 )
 from abimhd.abi import cross3
+from abimhd.compare import dmhd_run_at_times
 from abimhd.fields import (
+    FieldDataError,
     GridSpec,
     ScalarField,
     VectorField3,
@@ -202,6 +204,17 @@ class TestRunInvariants:
         r1 = np.abs(energy_balance_residual(dmhd_run(s0, dt, 16), dt)).max()
         r2 = np.abs(energy_balance_residual(dmhd_run(s0, dt / 2, 32), dt / 2)).max()
         assert r1 / r2 == pytest.approx(4.0, rel=0.35)
+
+    def test_energy_balance_reads_per_step_diagnostics(self, grid16):
+        h0, B0 = single_mode_pair(grid16)
+        s0 = DmhdState(h0, B0)
+        dt = dmhd_cfl_dt(s0) * 0.8
+        traj = dmhd_run(s0, dt, 4, save_every=4)
+        assert len(traj.states) == 2
+        assert energy_balance_residual(traj, dt).shape == (4,)
+        sampled = dmhd_run_at_times(s0, [dt, 2 * dt])
+        with pytest.raises(FieldDataError, match="diagnostic rows"):
+            energy_balance_residual(sampled, dt)
 
     def test_stationary_run_residual_zero(self, grid16):
         s0 = DmhdState(ScalarField.constant(grid16, 2.0),

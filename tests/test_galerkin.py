@@ -262,7 +262,7 @@ class TestTransport:
 
 def consistent_galerkin_data(grid):
     h0, B0 = single_mode_pair(grid)
-    D0a, P0a = _constitutive_arrays(grid, h0.values, B0.values, 1e-8)
+    D0a, P0a = _constitutive_arrays(grid, h0.values, B0.values)
     return h0, B0, VectorField3(grid, D0a), VectorField3(grid, P0a)
 
 
@@ -340,7 +340,7 @@ class TestGalerkinRun:
         d = tb.synthesize(cd)
         v = tb.synthesize(cv)
         S, Ngrid = _grid_sources(grid16, tb, h0.values, B0.values, d, v,
-                                 cfg.eps, cfg.h_floor)
+                                 cfg.eps)
         kvec = tb.basis.wavevectors[3]
         x, y, z = grid16.mesh
         phase = 2 * np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z)
@@ -361,8 +361,7 @@ class TestGalerkinRun:
             traj = galerkin_run(h0, B0, zero, zero, cfg)
             out = []
             for s in traj.states:
-                D, _ = _constitutive_arrays(grid16, s.h.values, s.B.values,
-                                            1e-8)
+                D, _ = _constitutive_arrays(grid16, s.h.values, s.B.values)
                 d = tb.synthesize(s.d_coeffs)
                 out.append(float(np.abs(s.h.values * d - D).max()))
             return np.array(out), np.array(traj.times)

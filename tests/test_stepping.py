@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from abimhd import compare, stepping
 from abimhd.dmhd import DmhdState, dmhd_run
-from abimhd.fields import ScalarField, VectorField3
+from abimhd.fields import FieldDataError, ScalarField, VectorField3
 from abimhd.stepping import BlowUpError, check_blowup, rk4_step
+from conftest import single_mode_pair
 
 
 def test_rk4_exact_on_linear_system():
@@ -32,5 +34,75 @@ def test_run_detects_blowup(grid16, monkeypatch):
     B0 = VectorField3.from_function(
         grid16, lambda x, y, z: (0 * x, 0.3 * np.sin(2 * np.pi * x), 0 * x))
     s0 = DmhdState(h0, B0)
+    monkeypatch.setattr(stepping, "BLOWUP_FACTOR", 1e-6)
     with pytest.raises(BlowUpError):
-        dmhd_run(s0, 1e-6, 3, blowup_factor=1e-6)
+        dmhd_run(s0, 1e-6, 3)
+
+
+def counting_step(dts):
+    """A step on a scalar clock state that records every dt it is given."""
+    def step(y, dt):
+        dts.append(dt)
+        return y + dt
+    return step
+
+
+def test_march_lands_on_every_stop_without_passing_one():
+    stops = [0.5, 1.0, 1.7, 1.75]
+    dts = []
+    times, states, rows = stepping.march(
+        0.0, counting_step(dts), stops, lambda y: 0.3 + 0.05 * y)
+    assert times == [0.0, *stops]
+    assert states[1:] == pytest.approx(stops, rel=1e-15)
+    assert rows == []
+    ends = np.cumsum(dts)
+    starts = ends - np.asarray(dts)
+    for stop in stops:
+        assert np.any(np.abs(ends - stop) <= 1e-15 * stop)
+        assert not np.any((starts < stop * (1 - 1e-12))
+                          & (ends > stop * (1 + 1e-12)))
+
+
+def test_march_fixed_step_uses_dt_unchanged_and_stamps_k_dt():
+    dt, n = 0.1, 50
+    dts = []
+    times, states, _ = stepping.march(
+        0.0, counting_step(dts), [k * dt for k in range(1, n + 1)],
+        lambda y: dt, keep_every=7)
+    assert len(dts) == n and all(d == dt for d in dts)
+    kept = [k for k in range(n + 1) if k % 7 == 0 or k == n]
+    assert times == [k * dt for k in kept]
+
+
+def test_march_takes_every_tiny_step():
+    dt, n = 1e-15, 40
+    for stops in ([k * dt for k in range(1, n + 1)], [n * dt]):
+        dts = []
+        times, _, _ = stepping.march(0.0, counting_step(dts), stops,
+                                     lambda y: dt)
+        assert len(dts) == n and all(d == dt for d in dts)
+        assert times[-1] == n * dt
+
+
+def test_march_observes_every_step_and_checks_growth(monkeypatch):
+    times, states, rows = stepping.march(
+        1.0, lambda y, dt: 2.0 * y, [1.0, 2.0, 3.0], lambda y: 1.0,
+        observe=lambda t, y: (-y, (t, y)), sup=abs)
+    assert states == [-1.0, -2.0, -4.0, -8.0]
+    assert rows == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (3.0, 8.0)]
+    monkeypatch.setattr(stepping, "BLOWUP_FACTOR", 3.0)
+    with pytest.raises(BlowUpError, match="<lambda>: sup norm 4"):
+        stepping.march(1.0, lambda y, dt: 2.0 * y, [1.0, 2.0, 3.0],
+                       lambda y: 1.0, sup=abs)
+
+
+@pytest.mark.parametrize("stops", [[0.02, 0.01], [0.01, 0.01], [0.0, 0.01]])
+def test_unordered_sample_times_rejected_before_any_step(grid16, monkeypatch,
+                                                         stops):
+    def no_step(s, dt):
+        raise AssertionError("stepped before validating the sample times")
+
+    monkeypatch.setattr(compare, "dmhd_step", no_step)
+    h0, B0 = single_mode_pair(grid16)
+    with pytest.raises(FieldDataError, match="increasing and positive"):
+        compare.dmhd_run_at_times(DmhdState(h0, B0), stops)
