@@ -316,10 +316,12 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     if corrupt != 0.0:
         sol = sol.with_momentum_offset(corrupt)
     tol_slack = tol_factor * energy(s0)
+    families = _certify_frames(cfg, traj, rng)
+    del traj    # sol and frames hold copies; frees the cached (D, P) pairs
 
     worst = -float("inf")
     rows = []
-    for name, frames in _certify_frames(cfg, traj, rng):
+    for name, frames in families:
         r0_val = r0(frames)
         rep = dissipative_slack(sol, frames, r=r0_val, r0_value=r0_val)
         rep.write_csv(out / f"entropy_report_{name}.csv")

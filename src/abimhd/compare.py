@@ -24,7 +24,6 @@ from .abi import AbiState, AbiTrajectory, abi_cfl_dt, abi_step, vec_norm
 from .dmhd import (
     DmhdState,
     DmhdTrajectory,
-    _constitutive_arrays,
     dmhd_cfl_dt,
     dmhd_step,
 )
@@ -133,7 +132,7 @@ def error_curves(abi_traj: AbiTrajectory,
         sd = dmhd_traj.states[k + 1]
         err_h[k] = float(np.abs(sa.h.values - sd.h.values).mean())
         err_B[k] = float(vec_norm(sa.B.values - sd.B.values).mean())
-        Dk, Pk = _constitutive_arrays(g, sd.h.values, sd.B.values)
+        Dk, Pk = sd.constitutive_pair
         inst_D[k + 1] = float(vec_norm(sa.D.values - t * Dk).mean())
         inst_P[k + 1] = float(vec_norm(sa.P.values - t * Pk).mean())
 

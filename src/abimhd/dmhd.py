@@ -18,11 +18,13 @@ monitors the discrete defect of that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .abi import cross3, vec_norm
 from .fields import (
+    SYM_PAIRS,
     FieldDataError,
     GridSpec,
     ScalarField,
@@ -60,6 +62,14 @@ class DmhdState:
     def grid(self) -> GridSpec:
         return self.h.grid
 
+    @cached_property
+    def constitutive_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, P) of this state, derived on first use and kept read-only."""
+        D, P = _constitutive_arrays(self.grid, self.h.values, self.B.values)
+        D.setflags(write=False)
+        P.setflags(write=False)
+        return D, P
+
     def div_B_sup(self) -> float:
         return float(np.abs(self.grid.div_arr(self.B.values)).max())
 
@@ -67,39 +77,50 @@ class DmhdState:
         return max(self.h.sup_norm(), self.B.sup_norm())
 
 
+def _constitutive_spectra(g: GridSpec, h: np.ndarray, B: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """D and the masked spectrum of P: 10 forward, 3 inverse transforms."""
+    r = guarded_reciprocal(h)
+    D = g.ifft(g.curl_hat(g.fft_masked(B * r)))
+    P_hat = g.div_sym_masked(B[i] * B[j] * r for i, j in SYM_PAIRS)
+    P_hat += g.grad_hat(g.fft_masked(r))
+    return D, P_hat
+
+
 def _constitutive_arrays(g: GridSpec, h: np.ndarray,
                          B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r = guarded_reciprocal(h)
-    da = g.dealias_arr
-    D = g.curl_arr(da(B * r))
-    rd = da(r)
-    P = g.grad_arr(rd)
-    for i in range(3):
-        P[i] += g.div_arr(da(B[i] * B * r))
-    return D, P
+    D, P_hat = _constitutive_spectra(g, h, B)
+    return D, g.ifft(P_hat)
 
 
 def constitutive(s: DmhdState) -> tuple[VectorField3, VectorField3]:
-    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values)
+    D, P = s.constitutive_pair
     return VectorField3(s.grid, D), VectorField3(s.grid, P)
 
 
 def _tendency_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
-                     D: np.ndarray, P: np.ndarray
+                     D: np.ndarray, P: np.ndarray, div_P: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(dt h, dt B) from the constitutive D and P of (h, B)."""
+    """(dt h, dt B) from the constitutive D, P of (h, B) and div P:
+    6 forward, 6 inverse transforms."""
     r = guarded_reciprocal(h)
-    da = g.dealias_arr
-    v = da(P * r)
-    d = da(D * r)
-    dh = -g.div_arr(P)
-    dB = -g.curl_arr(da(cross3(B, v)) + d)
-    return dh, dB
+    flux = g.fft_masked(cross3(B, g.dealias_arr(P * r)) + D * r)
+    return -div_P, -g.ifft(g.curl_hat(flux))
 
 
 def _rhs_arrays(g: GridSpec, h: np.ndarray,
                 B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _tendency_arrays(g, h, B, *_constitutive_arrays(g, h, B))
+    D, P_hat = _constitutive_spectra(g, h, B)
+    P, div_P = g.ifft(P_hat), g.ifft(g.div_hat(P_hat))
+    del P_hat       # frees the spectrum before the tendency's temporaries
+    return _tendency_arrays(g, h, B, D, P, div_P)
+
+
+def _state_tendency(s: DmhdState) -> tuple[np.ndarray, np.ndarray]:
+    """(dt h, dt B) of s from its cached constitutive pair."""
+    D, P = s.constitutive_pair
+    return _tendency_arrays(s.grid, s.h.values, s.B.values, D, P,
+                            s.grid.div_arr(P))
 
 
 def dmhd_rhs(s: DmhdState) -> tuple[ScalarField, VectorField3]:
@@ -129,6 +150,8 @@ def dmhd_step(s: DmhdState, dt: float) -> DmhdState:
     g = s.grid
 
     def rhs(y):
+        if y[0] is s.h.values:      # the first stage: s itself
+            return _state_tendency(s)
         return _rhs_arrays(g, y[0], y[1])
 
     h, B = rk4_step((s.h.values, s.B.values), dt, rhs)
@@ -144,7 +167,7 @@ def energy(s: DmhdState) -> float:
 
 
 def dissipation(s: DmhdState) -> float:
-    D, P = _constitutive_arrays(s.grid, s.h.values, s.B.values)
+    D, P = s.constitutive_pair
     r = guarded_reciprocal(s.h.values)
     return float((((D ** 2).sum(0) + (P ** 2).sum(0)) * r).mean())
 

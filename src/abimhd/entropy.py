@@ -34,7 +34,7 @@ import numpy as np
 
 from ._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
 from .abi import cross3
-from .dmhd import DmhdTrajectory, _constitutive_arrays, _tendency_arrays
+from .dmhd import DmhdTrajectory, _constitutive_arrays, _state_tendency
 from .fields import (
     DEFAULT_H_FLOOR,
     FieldDataError,
@@ -145,11 +145,10 @@ def frames_from_dmhd(traj: DmhdTrajectory) -> list[TestFieldFrame]:
     frames = []
     for t, s in zip(traj.times, traj.states):
         g = s.grid
-        h = s.h.values
         B = s.B.values
-        r = guarded_reciprocal(h)
-        D, P = _constitutive_arrays(g, h, B)
-        dh, dB = _tendency_arrays(g, h, B, D, P)
+        r = guarded_reciprocal(s.h.values)
+        D, P = s.constitutive_pair
+        dh, dB = _state_tendency(s)
         frames.append(TestFieldFrame(
             t,
             ScalarField(g, r),
@@ -206,7 +205,7 @@ def q_matrix(frame: TestFieldFrame) -> QMatrixField:
     jac_v = g.jacobian_arr(v)                      # [i, j] = d_j v_i
     jac_b = g.jacobian_arr(b)
     curl_d = g.curl_arr(d)
-    curl_b = g.curl_arr(b)
+    curl_b = _curl_of(jac_b)
     div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
 
     M = np.zeros((*g.shape, 10, 10))
@@ -226,6 +225,14 @@ def q_matrix(frame: TestFieldFrame) -> QMatrixField:
     for i in range(4, 10):
         M[..., i, i] = 2.0
     return QMatrixField(g, M)
+
+
+def _curl_of(jac: np.ndarray) -> np.ndarray:
+    """Curl from a Jacobian [i, j] = d_j v_i: curl_i = J[k, j] - J[j, k]
+    for (i, j, k) cyclic."""
+    return np.stack([jac[2, 1] - jac[1, 2],
+                     jac[0, 2] - jac[2, 0],
+                     jac[1, 0] - jac[0, 1]])
 
 
 def l_operator(frame: TestFieldFrame) -> np.ndarray:
@@ -250,7 +257,7 @@ def l_operator(frame: TestFieldFrame) -> np.ndarray:
     adv_vb = da(np.einsum("jxyz,ijxyz->ixyz", v, jac_b))
     adv_bv = da(np.einsum("jxyz,ijxyz->ixyz", b, jac_v))
     L_B = frame.dt_b_star.values + adv_vb - adv_bv + da(tau * g.curl_arr(d))
-    L_D = d - da(tau * g.curl_arr(b))
+    L_D = d - da(tau * _curl_of(jac_b))
     adv_bb = da(np.einsum("jxyz,ijxyz->ixyz", b, jac_b))
     L_P = v - adv_bb - da(tau * grad_tau)
     return np.concatenate([L_h[None], L_B, L_D, L_P])
@@ -265,7 +272,6 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
     is exact for frames whose products stay below the dealiasing cutoff.
     """
     g = frame.grid
-    da = g.dealias_arr
     tau = frame.h_star_inv.values
     b = frame.b_star.values
     d = frame.d_star.values
@@ -278,11 +284,11 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
     rhs = L.copy()
     rhs[0] -= frame.dt_h_star_inv.values
     rhs[1:4] -= frame.dt_b_star.values
-    rhs[0] += g.div_arr(da(cross3(d, b) - tau * v))
-    rhs[1:4] -= g.grad_arr(da((b * v).sum(0)))
+    rhs[0] += g.ifft(g.div_hat(g.fft_masked(cross3(d, b) - tau * v)))
+    rhs[1:4] -= g.ifft(g.grad_hat(g.fft_masked((b * v).sum(0))))
     rhs[4:7] += d
-    u_sq = da(tau * tau + (b * b).sum(0))
-    rhs[7:10] += v + 0.5 * g.grad_arr(u_sq)
+    u_sq_hat = g.fft_masked(tau * tau + (b * b).sum(0))
+    rhs[7:10] += v + 0.5 * g.ifft(g.grad_hat(u_sq_hat))
     return float(np.abs(qw - rhs).max())
 
 
@@ -492,7 +498,6 @@ class SampleTrajectory:
         from .stepping import march, rk4_step
 
         g = h0.grid
-        da = g.dealias_arr
         z = np.zeros((3, *g.shape))
         psi = z if psi is None else np.asarray(psi, dtype=float)
         varphi = z if varphi is None else np.asarray(varphi, dtype=float)
@@ -505,7 +510,7 @@ class SampleTrajectory:
             h, B = y
             D, P = derived(h, B)
             r = guarded_reciprocal(h)
-            dB = -g.curl_arr(da((D + cross3(B, P)) * r))
+            dB = -g.ifft(g.curl_hat(g.fft_masked((D + cross3(B, P)) * r)))
             if curl_source is not None:
                 dB = dB + g.curl_arr(np.asarray(curl_source, dtype=float))
             return -g.div_arr(P), dB
@@ -522,7 +527,7 @@ class SampleTrajectory:
         g = traj.states[0].grid
         hs, Bs, Ds, Ps = [], [], [], []
         for s in traj.states:
-            D, P = _constitutive_arrays(g, s.h.values, s.B.values)
+            D, P = s.constitutive_pair
             hs.append(s.h.values)
             Bs.append(s.B.values)
             Ds.append(D)
@@ -699,7 +704,6 @@ def identity_residual_check(sol: SampleTrajectory,
     sample grid, so both sides are reported at interior times only.
     """
     g = sol.grid
-    da = g.dealias_arr
     T = len(sol)
     if T < 3:
         raise FieldDataError("identity check needs at least three samples")
@@ -723,7 +727,7 @@ def identity_residual_check(sol: SampleTrajectory,
         dent = (ent[k + 1] - ent[k - 1]) / dt_span
         dB = (sol.B[k + 1] - sol.B[k - 1]) / dt_span
 
-        phi = dB + g.curl_arr(da((D + cross3(B, P)) * r))
+        phi = dB + g.ifft(g.curl_hat(g.fft_masked((D + cross3(B, P)) * r)))
         D_c, P_c = _constitutive_arrays(g, h, B)
         psi = D - D_c
         varphi = P - P_c

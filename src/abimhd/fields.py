@@ -2,9 +2,13 @@
 
 Fields are real samples on a uniform n x n x n grid (row-major over x, y, z).
 All differential operators act through the real FFT, so derivatives are exact
-for band-limited data. Pointwise products of spectral fields are followed by
-a 2/3-rule truncation (`dealias`) before further differentiation; divisions by
-a density are done in physical space behind a positivity guard.
+for band-limited data. Pointwise products are formed in physical space and
+masked by the 2/3 rule in spectral space (Orszag 1971): a product that is
+differentiated next is transformed once, and the mask and the derivative
+symbol 2 pi i k act on its spectrum before the single inverse transform
+(`fft_masked` followed by `curl_hat`, `div_hat` or `grad_hat`, and
+`div_sym_masked` for symmetric tensors). Divisions by a density are done in physical space behind a
+positivity guard.
 
 Every operation here is a pure function of immutable inputs: field values are
 stored read-only and new arrays are returned, so concurrent use is safe and
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +30,7 @@ __all__ = [
     "FieldDataError",
     "PositivityError",
     "DEFAULT_H_FLOOR",
+    "SYM_PAIRS",
     "grad",
     "div",
     "curl",
@@ -42,6 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_H_FLOOR = 1e-8
+
+# index pairs (i, j) of the six distinct entries of a symmetric 3x3 tensor,
+# in the order `GridSpec.div_sym_masked` reads them
+SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 
 class FieldDataError(ValueError):
@@ -153,37 +162,68 @@ class GridSpec:
     def ifft(self, ah: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(ah, s=self.shape, axes=(-3, -2, -1))
 
+    def fft_masked(self, a: np.ndarray) -> np.ndarray:
+        """Spectrum of `a` with the 2/3-rule mask applied."""
+        ah = self.fft(a)
+        ah *= self.dealias_mask
+        return ah
+
+    @cached_property
+    def _ik(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Derivative symbols 2 pi i k_x, 2 pi i k_y, 2 pi i k_z."""
+        two_pi_i = 2j * np.pi
+        return two_pi_i * self._kx, two_pi_i * self._ky, two_pi_i * self._kz
+
+    # Spectral-input kernels: they map spectra to spectra, so a caller can
+    # sum several terms before one inverse transform.
+
+    def grad_hat(self, ah: np.ndarray) -> np.ndarray:
+        dx, dy, dz = self._ik
+        return np.stack([ah * dx, ah * dy, ah * dz])
+
+    def div_hat(self, vh: np.ndarray) -> np.ndarray:
+        dx, dy, dz = self._ik
+        return vh[0] * dx + vh[1] * dy + vh[2] * dz
+
+    def curl_hat(self, vh: np.ndarray) -> np.ndarray:
+        dx, dy, dz = self._ik
+        return np.stack([dy * vh[2] - dz * vh[1],
+                         dz * vh[0] - dx * vh[2],
+                         dx * vh[1] - dy * vh[0]])
+
+    def div_sym_masked(self, entries: Iterable[np.ndarray]) -> np.ndarray:
+        """Spectrum of the row divergence d_j T_ij of a symmetric tensor,
+        with its entries masked by the 2/3 rule.
+
+        `entries` yields the six distinct entries T_ij in SYM_PAIRS order,
+        in physical space; each is transformed once, and a generator keeps
+        only one of them alive at a time.
+        """
+        out = np.zeros((3, self.n, self.n, self.n // 2 + 1), dtype=complex)
+        for (i, j), t in zip(SYM_PAIRS, entries):
+            th = self.fft_masked(t)
+            out[i] += self._ik[j] * th
+            if i != j:
+                out[j] += self._ik[i] * th
+        return out
+
     def deriv(self, a: np.ndarray, axis: int) -> np.ndarray:
-        k = (self._kx, self._ky, self._kz)[axis]
-        return self.ifft(self.fft(a) * (2j * np.pi * k))
+        return self.ifft(self.fft(a) * self._ik[axis])
 
     def grad_arr(self, a: np.ndarray) -> np.ndarray:
-        ah = self.fft(a)
-        two_pi_i = 2j * np.pi
-        return np.stack([self.ifft(ah * (two_pi_i * self._kx)),
-                         self.ifft(ah * (two_pi_i * self._ky)),
-                         self.ifft(ah * (two_pi_i * self._kz))])
+        return self.ifft(self.grad_hat(self.fft(a)))
 
     def div_arr(self, v: np.ndarray) -> np.ndarray:
-        vh = self.fft(v)
-        two_pi_i = 2j * np.pi
-        return self.ifft(vh[0] * (two_pi_i * self._kx)
-                         + vh[1] * (two_pi_i * self._ky)
-                         + vh[2] * (two_pi_i * self._kz))
+        return self.ifft(self.div_hat(self.fft(v)))
 
     def curl_arr(self, v: np.ndarray) -> np.ndarray:
-        vh = self.fft(v)
-        two_pi_i = 2j * np.pi
-        dx, dy, dz = two_pi_i * self._kx, two_pi_i * self._ky, two_pi_i * self._kz
-        return np.stack([self.ifft(dy * vh[2] - dz * vh[1]),
-                         self.ifft(dz * vh[0] - dx * vh[2]),
-                         self.ifft(dx * vh[1] - dy * vh[0])])
+        return self.ifft(self.curl_hat(self.fft(v)))
 
     def hyper_laplacian_arr(self, v: np.ndarray, order: int) -> np.ndarray:
         return self.ifft(self.fft(v) * self._k_squared_4pi2 ** order)
 
     def dealias_arr(self, a: np.ndarray) -> np.ndarray:
-        return self.ifft(self.fft(a) * self.dealias_mask)
+        return self.ifft(self.fft_masked(a))
 
     def jacobian_arr(self, v: np.ndarray) -> np.ndarray:
         """Gradient of a vector field with (i, j) entry d_j v_i, shape (3,3,n,n,n)."""

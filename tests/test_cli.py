@@ -151,3 +151,23 @@ class TestOtherSubcommands:
         assert main(["identity-check", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 0
         assert (out / "identity_check.csv").exists()
+
+
+class TestRepeatRuns:
+    def test_solver_runs_bit_identical(self, tmp_path):
+        # two in-process runs of each solver write identical files
+        jobs = {"dmhd-run": "t_final = 0.0005", "abi-run": "t_final = 0.02"}
+        for sub, run in jobs.items():
+            cfg = write_cfg(tmp_path / f"{sub}.cfg",
+                            "[scenario]\nname = random_smooth\n"
+                            f"[grid]\nn = 16\n[run]\n{run}\n")
+            files = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"{sub}-{tag}"
+                assert main([sub, "--config", cfg, "--out", str(out),
+                             "--seed", "11", "--quiet"]) == 0
+                files.append({p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())
+                              if p.suffix in (".abim", ".csv")})
+            assert len(files[0]) == 3      # diagnostics, initial, final
+            assert files[0] == files[1]

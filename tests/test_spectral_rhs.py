@@ -1,0 +1,261 @@
+"""Spectral-first right-hand sides against the composed-kernel forms.
+
+The oracles below are plain-numpy copies of the composed forms the solvers
+used before products were masked in spectral space: every dealiased product
+is transformed back to physical space (`dealias`) and transformed again by
+the derivative (`curl`, `div`, `grad`). The solvers must agree with them to
+round-off on band-limited data and on full-spectrum random data, which also
+fills the Nyquist planes.
+"""
+
+import numpy as np
+import pytest
+
+from abimhd import abi, dmhd
+from abimhd.abi import AbiState, abi_rhs
+from abimhd.entropy import SampleTrajectory, _curl_of, frames_from_dmhd
+from abimhd.fields import (
+    SYM_PAIRS,
+    GridSpec,
+    ScalarField,
+    VectorField3,
+    random_band_limited,
+    random_divergence_free,
+    random_vector,
+)
+from abimhd.dmhd import DmhdState, constitutive, dmhd_rhs, dmhd_run, dmhd_step
+
+RTOL = 1e-12
+
+
+class ComposedOracle:
+    """The composed dealias -> derivative kernels, each a round trip."""
+
+    def __init__(self, n):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        self.n = n
+        self.kx = k.reshape(-1, 1, 1)
+        self.ky = k.reshape(1, -1, 1)
+        self.kz = np.fft.rfftfreq(n, d=1.0 / n).reshape(1, 1, -1)
+        kmax = n // 3
+        self.mask = ((np.abs(self.kx) <= kmax) & (np.abs(self.ky) <= kmax)
+                     & (np.abs(self.kz) <= kmax))
+
+    def fft(self, a):
+        return np.fft.rfftn(a, axes=(-3, -2, -1))
+
+    def ifft(self, ah):
+        return np.fft.irfftn(ah, s=(self.n,) * 3, axes=(-3, -2, -1))
+
+    def dealias(self, a):
+        return self.ifft(self.fft(a) * self.mask)
+
+    def grad(self, a):
+        ah = self.fft(a)
+        return np.stack([self.ifft(2j * np.pi * k * ah)
+                         for k in (self.kx, self.ky, self.kz)])
+
+    def div(self, v):
+        vh = self.fft(v)
+        return self.ifft(2j * np.pi * (self.kx * vh[0] + self.ky * vh[1]
+                                       + self.kz * vh[2]))
+
+    def curl(self, v):
+        vh = self.fft(v)
+        kx, ky, kz = self.kx, self.ky, self.kz
+        return self.ifft(2j * np.pi * np.stack([ky * vh[2] - kz * vh[1],
+                                                kz * vh[0] - kx * vh[2],
+                                                kx * vh[1] - ky * vh[0]]))
+
+
+def cross(a, b):
+    return np.cross(a, b, axis=0)
+
+
+def oracle_constitutive(o, h, B):
+    r = 1.0 / h
+    D = o.curl(o.dealias(B * r))
+    P = o.grad(o.dealias(r))
+    for i in range(3):
+        P[i] += o.div(o.dealias(B[i] * B * r))
+    return D, P
+
+
+def oracle_dmhd_rhs(o, h, B):
+    D, P = oracle_constitutive(o, h, B)
+    r = 1.0 / h
+    v = o.dealias(P * r)
+    flux = o.dealias(cross(B, v)) + o.dealias(D * r)
+    return -o.div(P), -o.curl(flux)
+
+
+def oracle_abi_rhs(o, h, B, D, P):
+    r = 1.0 / h
+    dB = -o.curl(o.dealias((cross(B, P) + D) * r))
+    dD = -o.curl(o.dealias((cross(D, P) - B) * r))
+    grad_r = o.grad(o.dealias(r))
+    dP = np.empty_like(P)
+    for i in range(3):
+        row = o.dealias((P[i] * P - B[i] * B - D[i] * D) * r)
+        dP[i] = -o.div(row) + grad_r[i]
+    return -o.div(P), dB, dD, dP
+
+
+def sample(n, kind, seed=7):
+    """(h, B, D, P): band-limited (|k_i| <= 3) or full-spectrum noise."""
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    if kind == "band":
+        h = 1.0 + random_band_limited(g, rng, 3, 0.2).values
+        B, D, P = (random_vector(g, rng, 3, 0.3).values for _ in range(3))
+    else:
+        h = 1.0 + 0.2 * rng.random(g.shape)
+        B, D, P = (0.3 * rng.standard_normal((3, *g.shape))
+                   for _ in range(3))
+    return g, h, B, D, P
+
+
+def rel_dev(got, want):
+    return max(float(np.abs(a - b).max() / np.abs(b).max())
+               for a, b in zip(got, want))
+
+
+CASES = [(n, kind) for n in (16, 32) for kind in ("band", "full")]
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_field_kernels_match_oracle(n, kind):
+    g, h, B, _, _ = sample(n, kind)
+    o = ComposedOracle(n)
+    assert rel_dev([g.grad_arr(h)], [o.grad(h)]) <= RTOL
+    assert rel_dev([g.div_arr(B)], [o.div(B)]) <= RTOL
+    assert rel_dev([g.curl_arr(B)], [o.curl(B)]) <= RTOL
+    assert rel_dev([g.dealias_arr(B)], [o.dealias(B)]) <= RTOL
+    rows = [o.div(o.dealias(B[i] * B)) for i in range(3)]
+    got = g.ifft(g.div_sym_masked(B[i] * B[j] for i, j in SYM_PAIRS))
+    assert rel_dev([got], [np.stack(rows)]) <= RTOL
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_dmhd_constitutive_matches_oracle(n, kind):
+    g, h, B, _, _ = sample(n, kind)
+    got = dmhd._constitutive_arrays(g, h, B)
+    assert rel_dev(got, oracle_constitutive(ComposedOracle(n), h, B)) <= RTOL
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_dmhd_rhs_matches_oracle(n, kind):
+    g, h, B, _, _ = sample(n, kind)
+    got = dmhd._rhs_arrays(g, h, B)
+    assert rel_dev(got, oracle_dmhd_rhs(ComposedOracle(n), h, B)) <= RTOL
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_abi_rhs_matches_oracle(n, kind):
+    g, h, B, D, P = sample(n, kind)
+    got = abi._rhs_arrays(g, h, B, D, P)
+    assert rel_dev(got, oracle_abi_rhs(ComposedOracle(n), h, B, D, P)) <= RTOL
+
+
+@pytest.mark.parametrize("kind", ["band", "full"])
+def test_curl_from_jacobian(kind):
+    g, _, B, _, _ = sample(16, kind)
+    assert rel_dev([_curl_of(g.jacobian_arr(B))], [g.curl_arr(B)]) <= RTOL
+
+
+# ----------------------------------------------------------------------
+# The constitutive pair cached on a DMHD state.
+# ----------------------------------------------------------------------
+
+def smooth_state(n=16, seed=3):
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    h = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
+    return DmhdState(h, random_divergence_free(g, rng, 2, 0.3))
+
+
+def fresh(s):
+    """The same fields in a new state, with nothing cached."""
+    return DmhdState(s.h, s.B)
+
+
+def test_cached_pair_is_read_only_and_fresh():
+    s = smooth_state()
+    D, P = s.constitutive_pair
+    assert s.constitutive_pair[0] is D
+    for a in (D, P):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0, 0] = 1.0
+    D0, P0 = dmhd._constitutive_arrays(s.grid, s.h.values, s.B.values)
+    assert np.array_equal(D, D0) and np.array_equal(P, P0)
+
+
+def test_step_identical_with_primed_cache():
+    s = smooth_state()
+    dt = dmhd.dmhd_cfl_dt(s)
+    primed = fresh(s)
+    primed.constitutive_pair
+    a, b = dmhd_step(fresh(s), dt), dmhd_step(primed, dt)
+    assert a.h.values.tobytes() == b.h.values.tobytes()
+    assert a.B.values.tobytes() == b.B.values.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Transform counts, taken at GridSpec.fft / GridSpec.ifft.
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """count(fn, *args): scalar transforms one call of fn makes."""
+    tally = []
+    for name in ("fft", "ifft"):
+        orig = getattr(GridSpec, name)
+
+        def counted(self, a, _orig=orig):
+            tally.append(int(np.prod(np.shape(a)[:-3])))
+            return _orig(self, a)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+
+    def count(fn, *args):
+        start = len(tally)
+        fn(*args)
+        return sum(tally[start:])
+
+    return count
+
+
+def test_rhs_transform_counts(transforms):
+    s = smooth_state()
+    rhs = transforms(dmhd_rhs, fresh(s))
+    assert rhs <= 32
+    assert transforms(constitutive, fresh(s)) <= 16
+    # the public RHS stays a full evaluation on a state with a cached pair
+    s.constitutive_pair
+    assert transforms(dmhd_rhs, s) == rhs
+    g = s.grid
+    rng = np.random.default_rng(5)
+    D = random_vector(g, rng, 2, 0.1)
+    a = AbiState(s.h, s.B, D, VectorField3(g, abi.cross3(D.values,
+                                                         s.B.values)))
+    assert transforms(abi_rhs, a) <= 30
+
+
+def test_dmhd_run_step_transform_count(transforms):
+    s = smooth_state()
+    dt = dmhd.dmhd_cfl_dt(s)
+    rhs = transforms(dmhd_rhs, fresh(s))
+    one = transforms(dmhd_run, fresh(s), dt, 1)
+    two = transforms(dmhd_run, fresh(s), dt, 2)
+    # three full stages, a first stage on the cached pair, the dissipation
+    # observer's constitutive pair and the div B diagnostic
+    assert two - one <= 3 * rhs + 16 + 16 + 4
+
+
+def test_certify_readers_reuse_the_cached_pair(transforms):
+    s = smooth_state()
+    traj = dmhd_run(s, dmhd.dmhd_cfl_dt(s), 2)
+    assert transforms(SampleTrajectory.from_dmhd, traj) == 0
+    per_state = transforms(frames_from_dmhd, traj) / len(traj.states)
+    assert per_state <= 16
