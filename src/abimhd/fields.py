@@ -48,6 +48,9 @@ __all__ = [
 
 DEFAULT_H_FLOOR = 1e-8
 
+# points per (points x modes) phase block in `eval_at`
+EVAL_CHUNK = 256
+
 # index pairs (i, j) of the six distinct entries of a symmetric 3x3 tensor,
 # in the order `GridSpec.div_sym_masked` reads them
 SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
@@ -365,8 +368,7 @@ def _full_modes(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ch.ravel(), kvecs
 
 
-def eval_at(f: ScalarField | VectorField3, points: np.ndarray,
-            chunk: int = 256) -> np.ndarray:
+def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field exactly at arbitrary points.
 
     Point coordinates are wrapped into [0,1) rather than rejected. The value
@@ -375,8 +377,8 @@ def eval_at(f: ScalarField | VectorField3, points: np.ndarray,
 
     Args:
         f: scalar or vector field (its samples define the mode expansion).
-        points: array of shape (M, 3) or (3,).
-        chunk: number of points evaluated per mode-matrix block.
+        points: array of shape (M, 3) or (3,); they are evaluated
+            EVAL_CHUNK at a time against the full mode matrix.
 
     Returns:
         (M,) array for a scalar field, (M, 3) for a vector field.
@@ -386,10 +388,10 @@ def eval_at(f: ScalarField | VectorField3, points: np.ndarray,
     out = np.empty((pts.shape[0], comps.shape[0]))
     for c in range(comps.shape[0]):
         coeffs, kvecs = _full_modes(f.grid, comps[c])
-        for lo in range(0, pts.shape[0], chunk):
-            p = pts[lo:lo + chunk]
+        for lo in range(0, pts.shape[0], EVAL_CHUNK):
+            p = pts[lo:lo + EVAL_CHUNK]
             phases = np.exp(2j * np.pi * (p @ kvecs.T))
-            out[lo:lo + chunk, c] = (phases @ coeffs).real
+            out[lo:lo + EVAL_CHUNK, c] = (phases @ coeffs).real
     if isinstance(f, VectorField3):
         return out
     return out[:, 0]

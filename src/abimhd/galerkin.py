@@ -12,6 +12,12 @@ system
         = div(B (x) B / h) + grad(1/h)
 
 while (h, B) advance classically by the continuity and induction equations.
+The right-hand sides curl(B/h) = D and div(B (x) B / h) + grad(1/h) = P are
+the DMHD constitutive law, taken from `dmhd._constitutive_spectra`, and every
+product is transformed once and masked by the 2/3 rule in spectral space.
+Both drivers share these grid sources and one projection
+project(S) - lambda^l c - chi/eps; chi is the method-of-lines state, or
+<h c, basis> of the transported density at a Picard quadrature node.
 Recovering d and v from their momentum coefficients requires the weighted
 Gram (mass) operator <rho . , .> on X_N, which is block-diagonal over the
 three components with a single symmetric positive-definite 2N x 2N block.
@@ -39,9 +45,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .abi import cross3
-from .dmhd import _constitutive_arrays
+from .dmhd import _constitutive_spectra
 from .fields import (
     DEFAULT_H_FLOOR,
+    SYM_PAIRS,
     FieldDataError,
     GridSpec,
     PositivityError,
@@ -207,10 +214,10 @@ class TrigBasis:
 # Weighted mass operator.
 # ----------------------------------------------------------------------
 
-def _gram_cho(tb: TrigBasis, rho: np.ndarray, rho_floor: float):
-    if rho.min() <= rho_floor:
+def _gram_cho(tb: TrigBasis, rho: np.ndarray):
+    if rho.min() <= 0.0:
         raise PositivityError(
-            f"mass operator needs rho > {rho_floor:g}, got min {rho.min():g}")
+            f"mass operator needs rho > 0, got min {rho.min():g}")
     G = tb.gram(rho)
     try:
         return cho_factor(G, lower=True)
@@ -225,16 +232,19 @@ def mass_apply(tb: TrigBasis, rho: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     return coeffs @ G.T
 
 
-def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray,
-               rho_floor: float = 0.0) -> np.ndarray:
+def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Invert the weighted Gram operator componentwise (SPD Cholesky)."""
-    cho = _gram_cho(tb, rho, rho_floor)
+    cho = _gram_cho(tb, rho)
     return cho_solve(cho, np.atleast_2d(chi).T).T.reshape(chi.shape)
 
 
 # ----------------------------------------------------------------------
 # Exact evaluation of initial fields at characturistic feet.
 # ----------------------------------------------------------------------
+
+# ModalScalar.from_field keeps the modes with |c| > MODE_REL_TOL * max |c|
+MODE_REL_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class ModalScalar:
@@ -244,14 +254,14 @@ class ModalScalar:
     coeffs: np.ndarray
 
     @classmethod
-    def from_field(cls, f: ScalarField, rel_tol: float = 1e-14) -> "ModalScalar":
+    def from_field(cls, f: ScalarField) -> "ModalScalar":
         g = f.grid
         ch = np.fft.fftn(f.values) / g.num_points
         k1 = np.fft.fftfreq(g.n, d=1.0 / g.n)
         kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
         kv = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=1)
         c = ch.ravel()
-        keep = np.abs(c) > rel_tol * np.abs(c).max()
+        keep = np.abs(c) > MODE_REL_TOL * np.abs(c).max()
         return cls(kv[keep], c[keep])
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -264,10 +274,10 @@ class ModalVector:
     components: tuple[ModalScalar, ModalScalar, ModalScalar]
 
     @classmethod
-    def from_field(cls, v: VectorField3, rel_tol: float = 1e-14) -> "ModalVector":
+    def from_field(cls, v: VectorField3) -> "ModalVector":
         g = v.grid
-        return cls(tuple(ModalScalar.from_field(ScalarField(g, v.values[i]),
-                                                rel_tol) for i in range(3)))
+        return cls(tuple(ModalScalar.from_field(ScalarField(g, v.values[i]))
+                         for i in range(3)))
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return np.stack([c.eval(points) for c in self.components], axis=1)
@@ -358,16 +368,8 @@ def flow_map(tb: TrigBasis, vtraj, t: float, s: float,
     drifts outside the span. Integrates with RK4; results are wrapped
     into [0,1)^3.
     """
-    if isinstance(vtraj, CoefficientTrajectory):
-        model = BasisField(tb, vtraj)
-
-        def vel(tt, p):
-            return model.eval(tt, p)
-    elif hasattr(vtraj, "eval"):
-        def vel(tt, p):
-            return vtraj.eval(tt, p)
-    else:
-        vel = vtraj
+    model = _as_model(tb, vtraj)
+    vel = getattr(model, "eval", model)
     pts = np.atleast_2d(np.asarray(x, dtype=float)).copy()
     nsub = _flow_substeps(t, s, dt_flow)
     dt = (t - s) / nsub
@@ -444,8 +446,8 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
 
     def stage(p, i_acc, g_val, tt):
         vel = vm.eval(tt, p)
-        dv = vm.div(tt, p)
         jac = vm.jacobian(tt, p)
+        dv = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
         curld = dm.curl(tt, p)
         dG = np.einsum("mij,mj->mi", jac, g_val) - curld * np.exp(i_acc)[:, None]
         return vel, dv, dG
@@ -480,7 +482,6 @@ class GalerkinConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 60
     sigma: float = 0.01
-    dt_flow: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -504,9 +505,6 @@ class GalerkinState:
     def d_field(self, tb: TrigBasis) -> VectorField3:
         return VectorField3(self.h.grid, tb.synthesize(self.d_coeffs))
 
-    def v_field(self, tb: TrigBasis) -> VectorField3:
-        return VectorField3(self.h.grid, tb.synthesize(self.v_coeffs))
-
 
 @dataclass
 class GalerkinTrajectory:
@@ -520,44 +518,43 @@ class GalerkinTrajectory:
         return np.array([row[1] for row in self.diagnostics])
 
 
-def _grid_sources(g: GridSpec, tb: TrigBasis, h, B, d, v, eps):
-    """Grid parts of the projected sources (hyper and h d / h v terms excluded)."""
-    da = g.dealias_arr
-    r = guarded_reciprocal(h)
-    b = da(B * r)
+def _grid_sources(g: GridSpec, h, B, d, v, eps):
+    """Grid sources S = D/eps - curl(h d x v), the curl form of
+    div(h (d (x) v - v (x) d)), and N = P/eps - div(h v (x) v) + h (d.grad) d,
+    with D and P from the DMHD constitutive law: 25 forward, 18 inverse
+    transforms."""
+    D, P_hat = _constitutive_spectra(g, h, B)
     inv_eps = 1.0 / eps
-
-    S = inv_eps * g.curl_arr(b)
-    for i in range(3):
-        row = da(h * (d[i] * v - v[i] * d))
-        S[i] -= g.div_arr(row)
-
-    _, P_const = _constitutive_arrays(g, h, B)
+    S = inv_eps * D - g.ifft(g.curl_hat(g.fft_masked(h * cross3(d, v))))
     jac_d = g.jacobian_arr(d)
-    Ngrid = inv_eps * P_const
-    Ngrid += da(h * np.einsum("jxyz,ijxyz->ixyz", d, jac_d))
-    for i in range(3):
-        Ngrid[i] -= g.div_arr(da(h * v[i] * v))
-    return S, Ngrid
+    N_hat = inv_eps * P_hat
+    N_hat -= g.div_sym_masked(h * v[i] * v[j] for i, j in SYM_PAIRS)
+    N_hat += g.fft_masked(h * np.einsum("jxyz,ijxyz->ixyz", d, jac_d))
+    return S, g.ifft(N_hat)
+
+
+def _projected_source(tb: TrigBasis, cfg: GalerkinConfig, grid_source,
+                      c, chi):
+    """project(grid_source) - lam^l c - chi/eps for primal coefficients c."""
+    return tb.project(grid_source) - tb.lam ** cfg.l * c - chi / cfg.eps
 
 
 def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig):
+    """MoL tendencies of (h, B, chi_d, chi_v): 34 forward, 22 inverse
+    transforms."""
     h, B, chi_d, chi_v = y
-    cho = _gram_cho(tb, h, 0.0)
+    cho = _gram_cho(tb, h)
     cd = cho_solve(cho, chi_d.T).T
     cv = cho_solve(cho, chi_v.T).T
     d = tb.synthesize(cd)
     v = tb.synthesize(cv)
-    da = g.dealias_arr
 
-    dh = -g.div_arr(da(h * v))
-    dB = -g.curl_arr(da(cross3(B, v)) + d)
+    dh = -g.ifft(g.div_hat(g.fft_masked(h * v)))
+    dB = -g.ifft(g.curl_hat(g.fft_masked(cross3(B, v)) + g.fft(d)))
 
-    S, Ngrid = _grid_sources(g, tb, h, B, d, v, cfg.eps)
-    lam_l = tb.lam ** cfg.l
-    s_d = tb.project(S) - lam_l * cd - chi_d / cfg.eps
-    s_v = tb.project(Ngrid) - lam_l * cv - chi_v / cfg.eps
-    return dh, dB, s_d, s_v
+    S, Ngrid = _grid_sources(g, h, B, d, v, cfg.eps)
+    return (dh, dB, _projected_source(tb, cfg, S, cd, chi_d),
+            _projected_source(tb, cfg, Ngrid, cv, chi_v))
 
 
 def galerkin_rhs(state: GalerkinState, tb: TrigBasis,
@@ -574,7 +571,7 @@ def galerkin_rhs(state: GalerkinState, tb: TrigBasis,
     dh, dB, s_d, s_v = _galerkin_rhs_arrays(
         g, tb, (state.h.values, state.B.values, chi_d, chi_v), cfg)
     Gdot = tb.gram(dh)
-    cho = _gram_cho(tb, state.h.values, 0.0)
+    cho = _gram_cho(tb, state.h.values)
     cd_dot = cho_solve(cho, (s_d - state.d_coeffs @ Gdot.T).T).T
     cv_dot = cho_solve(cho, (s_v - state.v_coeffs @ Gdot.T).T).T
     return (ScalarField(g, dh), VectorField3(g, dB), cd_dot, cv_dot)
@@ -628,7 +625,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     def observe(t, y):
         """The primal state and its energy row, from one Gram factorization."""
         h, B, xd, xv = y
-        cho = _gram_cho(tb, h, 0.0)
+        cho = _gram_cho(tb, h)
         cd = cho_solve(cho, xd.T).T
         cv = cho_solve(cho, xv.T).T
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
@@ -656,6 +653,16 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 # Picard fixed-point mode.
 # ----------------------------------------------------------------------
 
+def _node_sources(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, h, B,
+                  cd, cv):
+    """Picard's sources at one node: the MoL sources at chi = <h c, basis>."""
+    d = tb.synthesize(cd)
+    v = tb.synthesize(cv)
+    S, Ngrid = _grid_sources(g, h, B, d, v, cfg.eps)
+    return (_projected_source(tb, cfg, S, cd, tb.project(h * d)),
+            _projected_source(tb, cfg, Ngrid, cv, tb.project(h * v)))
+
+
 def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
                 z: CoefficientTrajectory):
     """One application of the integral fixed-point map on a subinterval.
@@ -666,39 +673,28 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
     m = len(quad_times)
     cd_traj = CoefficientTrajectory(z.times, z.coeffs[:, 0])
     cv_traj = CoefficientTrajectory(z.times, z.coeffs[:, 1])
-    hs, Bs = [], []
+    hs, Bs, s_d, s_v = [], [], [], []
     for t in quad_times:
-        hf = transport_h(tb, cv_traj, h0_modal, t, g, cfg.dt_flow)
-        Bf = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g, cfg.dt_flow)
-        if hf.values.min() <= DEFAULT_H_FLOOR:
+        h = transport_h(tb, cv_traj, h0_modal, t, g).values
+        B = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g).values
+        if h.min() <= DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
-        hs.append(hf.values)
-        Bs.append(Bf.values)
-
-    lam_l = tb.lam ** cfg.l
-    s_d = np.empty((m, 3, tb.basis.num_functions))
-    s_v = np.empty_like(s_d)
-    for i, t in enumerate(quad_times):
-        cd = cd_traj.at(t)
-        cv = cv_traj.at(t)
-        d = tb.synthesize(cd)
-        v = tb.synthesize(cv)
-        S, Ngrid = _grid_sources(g, tb, hs[i], Bs[i], d, v, cfg.eps)
-        hd = tb.project(g.dealias_arr(hs[i] * d))
-        hv = tb.project(g.dealias_arr(hs[i] * v))
-        s_d[i] = tb.project(S) - lam_l * cd - hd / cfg.eps
-        s_v[i] = tb.project(Ngrid) - lam_l * cv - hv / cfg.eps
+        src_d, src_v = _node_sources(g, tb, cfg, h, B, cd_traj.at(t),
+                                     cv_traj.at(t))
+        hs.append(h)
+        Bs.append(B)
+        s_d.append(src_d)
+        s_v.append(src_v)
 
     new_coeffs = np.empty((m, 2, 3, tb.basis.num_functions))
-    chi_d = chi_d0.copy()
-    chi_v = chi_v0.copy()
-    for i, t in enumerate(quad_times):
+    chi_d, chi_v = chi_d0, chi_v0
+    for i in range(m):
         if i > 0:
             dt_seg = quad_times[i] - quad_times[i - 1]
             chi_d = chi_d + 0.5 * dt_seg * (s_d[i - 1] + s_d[i])
             chi_v = chi_v + 0.5 * dt_seg * (s_v[i - 1] + s_v[i])
-        cho = _gram_cho(tb, hs[i], 0.0)
+        cho = _gram_cho(tb, hs[i])
         new_coeffs[i, 0] = cho_solve(cho, chi_d.T).T
         new_coeffs[i, 1] = cho_solve(cho, chi_v.T).T
     return (CoefficientTrajectory(np.asarray(quad_times), new_coeffs),
@@ -755,15 +751,13 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
             np.stack([np.stack([cd0, cv0])] * 2))
         residuals: list[float] = []
         converged = False
-        z_final = z
-        hs = Bs = None
         for _ in range(cfg.picard_max_iter):
             z_new, hs, Bs = _k_operator(g, tb, cfg, quad_times, h0_modal,
                                         B0_modal, chi_d, chi_v, z)
             res = max(float(np.abs(z_new.at(t) - z.at(t)).max())
                       for t in quad_times)
             residuals.append(res)
-            z = z_final = z_new
+            z = z_new
             if res <= cfg.picard_tol:
                 converged = True
                 break
@@ -782,15 +776,15 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
         # accept the subinterval; record interior samples and restart data
         for i, t in enumerate(quad_times[1:], start=1):
-            cd_i = z_final.coeffs[i, 0]
-            cv_i = z_final.coeffs[i, 1]
+            cd_i = z.coeffs[i, 0]
+            cv_i = z.coeffs[i, 1]
             xd_i = mass_apply(tb, hs[i], cd_i)
             xv_i = mass_apply(tb, hs[i], cv_i)
             record(t_base + t, hs[i], Bs[i], cd_i, cv_i, xd_i, xv_i)
         h_cur = ScalarField(g, hs[-1])
         B_cur = VectorField3(g, Bs[-1])
-        cd0 = z_final.coeffs[-1, 0]
-        cv0 = z_final.coeffs[-1, 1]
+        cd0 = z.coeffs[-1, 0]
+        cv0 = z.coeffs[-1, 1]
         chi_d = mass_apply(tb, hs[-1], cd0)
         chi_v = mass_apply(tb, hs[-1], cv0)
         t_base += sigma_eff

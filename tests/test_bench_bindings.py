@@ -58,19 +58,21 @@ def test_runs_step_through_module_globals(monkeypatch):
     # them up when it is called
     calls = []
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for module, name in ((abi, "abi_step"), (abi, "abi_entropy"),
-                         (dmhd, "dmhd_step"), (dmhd, "dissipation"),
-                         (galerkin, "rk4_step")):
-        counted(module, name)
+    for owner, name in ((abi, "abi_step"), (abi, "abi_entropy"),
+                        (dmhd, "dmhd_step"), (dmhd, "dissipation"),
+                        (galerkin, "rk4_step"), (galerkin, "_k_operator"),
+                        (galerkin, "transport_h"), (galerkin, "transport_B"),
+                        (galerkin.TrigBasis, "eval_jacobian")):
+        counted(owner, name)
     grid = GridSpec(8)
     h0, B0 = single_mode_pair(grid)
     zero = VectorField3.zero(grid)
@@ -78,6 +80,19 @@ def test_runs_step_through_module_globals(monkeypatch):
     dmhd.dmhd_run(dmhd.DmhdState(h0, B0), 1e-6, 2)
     galerkin.galerkin_run(h0, B0, zero, zero, galerkin.GalerkinConfig(
         N=2, eps=0.5, l=1, dt=1e-4, T=2e-4))
-    assert sorted(calls) == sorted(["abi_step"] * 2 + ["abi_entropy"] * 3
-                                   + ["dmhd_step"] * 2 + ["dissipation"] * 3
-                                   + ["rk4_step"] * 2)
+    assert sorted(name for name, _ in calls) == sorted(
+        ["abi_step"] * 2 + ["abi_entropy"] * 3 + ["dmhd_step"] * 2
+        + ["dissipation"] * 3 + ["rk4_step"] * 2)
+
+    # a Picard sweep transports (h, B) to each of its 3 quadrature times,
+    # starting at t = 0, which is how the tracer counts sweeps
+    del calls[:]
+    galerkin.picard_iterate(h0, B0, zero, zero, galerkin.GalerkinConfig(
+        N=2, eps=0.5, l=1, dt=1e-4, T=2e-4, picard=True, sigma=2e-4))
+    names = [name for name, _ in calls]
+    sweeps = names.count("_k_operator")
+    starts = [args[3] == 0.0 for name, args in calls if name == "transport_h"]
+    assert sweeps >= 1
+    assert len(starts) == 3 * sweeps and sum(starts) == sweeps
+    assert names.count("transport_B") == 3 * sweeps
+    assert "eval_jacobian" in names

@@ -171,3 +171,22 @@ class TestRepeatRuns:
                               if p.suffix in (".abim", ".csv")})
             assert len(files[0]) == 3      # diagnostics, initial, final
             assert files[0] == files[1]
+
+    def test_galerkin_runs_bit_identical(self, tmp_path):
+        # method of lines and Picard, two in-process runs each
+        for mode in ("false", "true"):
+            cfg = write_cfg(tmp_path / f"{mode}.cfg",
+                            "[scenario]\nname = random_smooth\n"
+                            "[grid]\nn = 16\n"
+                            f"[galerkin]\nT = 0.0004\npicard = {mode}\n"
+                            "sigma = 0.0004\n")
+            files = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"{mode}-{tag}"
+                assert main(["galerkin-run", "--config", cfg, "--out",
+                             str(out), "--seed", "11", "--quiet"]) == 0
+                files.append({p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())
+                              if p.suffix in (".abim", ".csv", ".bin")})
+            assert len(files[0]) == 3   # diagnostics, final, coefficients
+            assert files[0] == files[1]

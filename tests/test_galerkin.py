@@ -339,8 +339,7 @@ class TestGalerkinRun:
         cv = mass_solve(tb, h0.values, chi_v)
         d = tb.synthesize(cd)
         v = tb.synthesize(cv)
-        S, Ngrid = _grid_sources(grid16, tb, h0.values, B0.values, d, v,
-                                 cfg.eps)
+        S, Ngrid = _grid_sources(grid16, h0.values, B0.values, d, v, cfg.eps)
         kvec = tb.basis.wavevectors[3]
         x, y, z = grid16.mesh
         phase = 2 * np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z)
@@ -423,7 +422,7 @@ class TestPicard:
         zero = VectorField3.zero(grid16)
         T = 0.004
         cfg_p = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=T, picard=True,
-                               picard_tol=1e-11, sigma=T, dt_flow=1e-3)
+                               picard_tol=1e-11, sigma=T)
         cfg_m = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=T)
         ptraj = picard_iterate(h0, B0, zero, zero, cfg_p)
         mtraj = galerkin_run(h0, B0, zero, zero, cfg_m)

@@ -11,7 +11,7 @@ fills the Nyquist planes.
 import numpy as np
 import pytest
 
-from abimhd import abi, dmhd
+from abimhd import abi, dmhd, galerkin
 from abimhd.abi import AbiState, abi_rhs
 from abimhd.entropy import SampleTrajectory, _curl_of, frames_from_dmhd
 from abimhd.fields import (
@@ -101,6 +101,30 @@ def oracle_abi_rhs(o, h, B, D, P):
     return -o.div(P), dB, dD, dP
 
 
+def oracle_grid_sources(o, h, B, d, v, eps):
+    D, P = oracle_constitutive(o, h, B)
+    S, N = D / eps, P / eps
+    jac_d = np.stack([o.grad(d[i]) for i in range(3)])
+    N += o.dealias(h * np.einsum("jxyz,ijxyz->ixyz", d, jac_d))
+    for i in range(3):
+        S[i] -= o.div(o.dealias(h * (d[i] * v - v[i] * d)))
+        N[i] -= o.div(o.dealias(h * v[i] * v))
+    return S, N
+
+
+def oracle_galerkin_rhs(o, tb, cfg, h, B, chi_d, chi_v):
+    G = tb.gram(h)
+    cd = np.linalg.solve(G, chi_d.T).T
+    cv = np.linalg.solve(G, chi_v.T).T
+    d, v = tb.synthesize(cd), tb.synthesize(cv)
+    S, N = oracle_grid_sources(o, h, B, d, v, cfg.eps)
+    lam_l = tb.lam ** cfg.l
+    return (-o.div(o.dealias(h * v)),
+            -o.curl(o.dealias(cross(B, v)) + d),
+            tb.project(S) - lam_l * cd - chi_d / cfg.eps,
+            tb.project(N) - lam_l * cv - chi_v / cfg.eps)
+
+
 def sample(n, kind, seed=7):
     """(h, B, D, P): band-limited (|k_i| <= 3) or full-spectrum noise."""
     g = GridSpec(n)
@@ -155,6 +179,48 @@ def test_abi_rhs_matches_oracle(n, kind):
     g, h, B, D, P = sample(n, kind)
     got = abi._rhs_arrays(g, h, B, D, P)
     assert rel_dev(got, oracle_abi_rhs(ComposedOracle(n), h, B, D, P)) <= RTOL
+
+
+def galerkin_sample(n, kind, N=47, seed=7):
+    """Grid data of `sample` plus a basis and random (d, v) coefficients;
+    N = 47 reaches |k_i| = 3, past the 2/3 cutoff of an n = 8 grid."""
+    g, h, B, _, _ = sample(n, kind, seed)
+    tb = galerkin.TrigBasis(galerkin.BasisSpec(N), g)
+    rng = np.random.default_rng(seed + 1)
+    cd, cv = (0.3 * rng.standard_normal((3, 2 * N)) for _ in range(2))
+    return g, tb, galerkin.GalerkinConfig(N=N, eps=0.2, l=1), h, B, cd, cv
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_galerkin_grid_sources_match_oracle(n, kind):
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(n, kind)
+    d, v = tb.synthesize(cd), tb.synthesize(cv)
+    got = galerkin._grid_sources(g, h, B, d, v, cfg.eps)
+    want = oracle_grid_sources(ComposedOracle(n), h, B, d, v, cfg.eps)
+    assert rel_dev(got, want) <= RTOL
+
+
+# n = 8 also checks that curl d is not masked: the basis reaches |k_i| = 3
+@pytest.mark.parametrize("n,kind", CASES + [(8, "band")])
+def test_galerkin_rhs_matches_oracle(n, kind):
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(n, kind)
+    chi_d, chi_v = tb.project(h * tb.synthesize(cd)), tb.project(
+        h * tb.synthesize(cv))
+    got = galerkin._galerkin_rhs_arrays(g, tb, (h, B, chi_d, chi_v), cfg)
+    want = oracle_galerkin_rhs(ComposedOracle(n), tb, cfg, h, B, chi_d, chi_v)
+    assert rel_dev(got, want) <= RTOL
+
+
+@pytest.mark.parametrize("n,N", [(16, 7), (16, 47), (8, 47)])
+def test_picard_node_sources_equal_mol_sources(n, N):
+    # Picard's chi is <h c, basis> of the unmasked product; at n = 8 the
+    # N = 47 basis reaches |k_i| = 3 > n // 3, which a 2/3 mask would drop
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(n, "band", N)
+    chi_d = galerkin.mass_apply(tb, h, cd)
+    chi_v = galerkin.mass_apply(tb, h, cv)
+    mol = galerkin._galerkin_rhs_arrays(g, tb, (h, B, chi_d, chi_v), cfg)[2:]
+    node = galerkin._node_sources(g, tb, cfg, h, B, cd, cv)
+    assert rel_dev(node, mol) <= RTOL
 
 
 @pytest.mark.parametrize("kind", ["band", "full"])
@@ -259,3 +325,12 @@ def test_certify_readers_reuse_the_cached_pair(transforms):
     assert transforms(SampleTrajectory.from_dmhd, traj) == 0
     per_state = transforms(frames_from_dmhd, traj) / len(traj.states)
     assert per_state <= 16
+
+
+def test_galerkin_transform_counts(transforms):
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(16, "band", 7)
+    d, v = tb.synthesize(cd), tb.synthesize(cv)
+    assert transforms(galerkin._grid_sources, g, h, B, d, v, cfg.eps) <= 45
+    y = (h, B, galerkin.mass_apply(tb, h, cd), galerkin.mass_apply(tb, h, cv))
+    assert transforms(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) <= 60
+    assert transforms(galerkin._node_sources, g, tb, cfg, h, B, cd, cv) <= 45
