@@ -22,6 +22,7 @@ import argparse
 import os
 import struct
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ConfigError, RunConfig
@@ -177,16 +178,21 @@ def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, seed: int,
 
     grid = GridSpec(cfg.get_int("grid.n", 16, minimum=4, even=True))
     h0, B0 = _scenario_pair(cfg, grid, rng)
+    default = {f.name: f.default for f in fields(GalerkinConfig)}
     gcfg = GalerkinConfig(
-        N=cfg.get_int("galerkin.N", 7, minimum=1),
-        eps=cfg.get_float("galerkin.eps", 0.1, exclusive_min=0.0, maximum=0.999999),
-        l=cfg.get_int("galerkin.l", 1, minimum=1),
-        dt=cfg.get_float("galerkin.dt", 2e-4, exclusive_min=0.0),
-        T=cfg.get_float("galerkin.T", 0.01, exclusive_min=0.0),
-        picard=cfg.get_bool("galerkin.picard", False),
-        picard_tol=cfg.get_float("galerkin.picard_tol", 1e-10, exclusive_min=0.0),
-        picard_max_iter=cfg.get_int("galerkin.picard_max_iter", 60, minimum=1),
-        sigma=cfg.get_float("galerkin.sigma", 0.004, exclusive_min=0.0),
+        N=cfg.get_int("galerkin.N", default["N"], minimum=1),
+        eps=cfg.get_float("galerkin.eps", default["eps"], exclusive_min=0.0,
+                          maximum=0.999999),
+        l=cfg.get_int("galerkin.l", default["l"], minimum=1),
+        dt=cfg.get_float("galerkin.dt", default["dt"], exclusive_min=0.0),
+        T=cfg.get_float("galerkin.T", default["T"], exclusive_min=0.0),
+        picard=cfg.get_bool("galerkin.picard", default["picard"]),
+        picard_tol=cfg.get_float("galerkin.picard_tol", default["picard_tol"],
+                                 exclusive_min=0.0),
+        picard_max_iter=cfg.get_int("galerkin.picard_max_iter",
+                                    default["picard_max_iter"], minimum=1),
+        sigma=cfg.get_float("galerkin.sigma", default["sigma"],
+                            exclusive_min=0.0),
     )
     zero = VectorField3.zero(grid)
     driver = picard_iterate if gcfg.picard else galerkin_run
@@ -268,20 +274,16 @@ def _cmd_compare(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _certify_frames(cfg: RunConfig, traj, rng):
+def _certify_frames(traj, rng, extra: int, kmax: int, amp: float):
     from .entropy import TestFieldFrame, frames_from_dmhd, random_frame
     from .fields import ScalarField, VectorField3
 
-    frames = frames_from_dmhd(traj)
-    extra = cfg.get_int("certify.random_frames", 0, minimum=0)
-    families = [("solution", frames)]
+    families = [("solution", frames_from_dmhd(traj))]
     g = traj.states[0].grid
-    kmax = cfg.get_int("scenario.kmax", 2, minimum=1)
     zs = ScalarField.constant(g, 0.0)
     zv = VectorField3.zero(g)
     for j in range(extra):
-        base = random_frame(g, rng, kmax=kmax,
-                            amplitude=cfg.get_float("certify.frame_amp", 0.1))
+        base = random_frame(g, rng, kmax=kmax, amplitude=amp)
         # the family is constant in time, so its claimed time derivatives
         # must vanish for the forcing term to be consistent
         fam = [TestFieldFrame(t, base.h_star_inv, base.b_star, base.d_star,
@@ -310,13 +312,16 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     save_every = cfg.get_int("run.save_every", max(1, n_steps // 16), minimum=1)
     tol_factor = cfg.get_float("certify.tol_factor", 1e-3, exclusive_min=0.0)
     corrupt = cfg.get_float("certify.momentum_offset", 0.0)
+    frame_args = (cfg.get_int("certify.random_frames", 0, minimum=0),
+                  cfg.get_int("scenario.kmax", 2, minimum=1),
+                  cfg.get_float("certify.frame_amp", 0.1))
 
     traj = dmhd_run(s0, dt, n_steps, save_every=save_every)
     sol = SampleTrajectory.from_dmhd(traj)
     if corrupt != 0.0:
         sol = sol.with_momentum_offset(corrupt)
     tol_slack = tol_factor * energy(s0)
-    families = _certify_frames(cfg, traj, rng)
+    families = _certify_frames(traj, rng, *frame_args)
     del traj    # sol and frames hold copies; frees the cached (D, P) pairs
 
     worst = -float("inf")

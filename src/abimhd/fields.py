@@ -48,7 +48,8 @@ __all__ = [
 
 DEFAULT_H_FLOOR = 1e-8
 
-# points per (points x modes) phase block in `eval_at`
+# points per (points x modes) phase block of `_mode_sum`, the trigonometric
+# sum behind `eval_at` and `galerkin.ModalScalar.eval`
 EVAL_CHUNK = 256
 
 # index pairs (i, j) of the six distinct entries of a symmetric 3x3 tensor,
@@ -368,6 +369,17 @@ def _full_modes(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ch.ravel(), kvecs
 
 
+def _mode_sum(pts: np.ndarray, coeffs: np.ndarray,
+              kvecs: np.ndarray) -> np.ndarray:
+    """Real part of sum_k c_k exp(2 pi i k.x) at each point, formed
+    EVAL_CHUNK points at a time so the phase block stays bounded."""
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], EVAL_CHUNK):
+        phases = np.exp(2j * np.pi * (pts[lo:lo + EVAL_CHUNK] @ kvecs.T))
+        out[lo:lo + EVAL_CHUNK] = (phases @ coeffs).real
+    return out
+
+
 def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
     """Evaluate a band-limited field exactly at arbitrary points.
 
@@ -387,11 +399,7 @@ def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
     comps = f.values if isinstance(f, VectorField3) else f.values[None]
     out = np.empty((pts.shape[0], comps.shape[0]))
     for c in range(comps.shape[0]):
-        coeffs, kvecs = _full_modes(f.grid, comps[c])
-        for lo in range(0, pts.shape[0], EVAL_CHUNK):
-            p = pts[lo:lo + EVAL_CHUNK]
-            phases = np.exp(2j * np.pi * (p @ kvecs.T))
-            out[lo:lo + EVAL_CHUNK, c] = (phases @ coeffs).real
+        out[:, c] = _mode_sum(pts, *_full_modes(f.grid, comps[c]))
     if isinstance(f, VectorField3):
         return out
     return out[:, 0]

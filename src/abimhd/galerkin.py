@@ -26,7 +26,12 @@ Two drivers are provided: `galerkin_run` (method-of-lines RK4 on the
 coefficient system, the default) and `picard_iterate` (the fixed-point map
 z -> K[z] over subintervals, with characteristics transport of (h, B) and
 time-quadrature of the sources; kept for small N where it mirrors the
-constructive existence argument). The energy
+constructive existence argument). Picard carries (h, B) exactly along the
+characteristics of the Galerkin velocity: each of h and B takes one backward
+RK4 march from the grid to its feet at time 0. h picks up the exponential of
+the accumulated -div v; B follows Cauchy's Lagrangian solution of the
+induction equation, B(t) = Z B0(foot) + c, where the march carries the
+deformation-like matrix Z and a Duhamel term c for curl d. The energy
 
     Lambda_n = integral((1 + B^2)/(2h) + eps h (v^2 + d^2)/2)
 
@@ -54,6 +59,8 @@ from .fields import (
     PositivityError,
     ScalarField,
     VectorField3,
+    _full_modes,
+    _mode_sum,
     guarded_reciprocal,
 )
 from .stepping import BlowUpError, StepSizeError, march, rk4_step
@@ -130,6 +137,10 @@ class BasisSpec:
         return 6 * self.N
 
 
+def _grid_points(grid: GridSpec) -> np.ndarray:
+    return np.stack([m.ravel() for m in grid.mesh], axis=1)      # (n^3, 3)
+
+
 class TrigBasis:
     """BasisSpec bound to a grid: tables, quadrature and point evaluation."""
 
@@ -142,8 +153,7 @@ class TrigBasis:
                 f"basis wavevectors reach |k_i|={np.abs(k).max()} which the "
                 f"n={grid.n} grid cannot carry exactly")
         self.kvecs = k.astype(float)
-        pts = np.stack([m.ravel() for m in grid.mesh], axis=1)   # (n^3, 3)
-        phase = 2.0 * np.pi * (pts @ self.kvecs.T)               # (n^3, N)
+        phase = 2.0 * np.pi * (_grid_points(grid) @ self.kvecs.T)   # (n^3, N)
         rt2 = math.sqrt(2.0)
         self.table = np.concatenate([rt2 * np.sin(phase),
                                      rt2 * np.cos(phase)], axis=1)  # (n^3, 2N)
@@ -239,7 +249,7 @@ def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Exact evaluation of initial fields at characturistic feet.
+# Exact evaluation of initial fields at characteristic feet.
 # ----------------------------------------------------------------------
 
 # ModalScalar.from_field keeps the modes with |c| > MODE_REL_TOL * max |c|
@@ -255,18 +265,13 @@ class ModalScalar:
 
     @classmethod
     def from_field(cls, f: ScalarField) -> "ModalScalar":
-        g = f.grid
-        ch = np.fft.fftn(f.values) / g.num_points
-        k1 = np.fft.fftfreq(g.n, d=1.0 / g.n)
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        kv = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=1)
-        c = ch.ravel()
+        c, kv = _full_modes(f.grid, f.values)
         keep = np.abs(c) > MODE_REL_TOL * np.abs(c).max()
         return cls(kv[keep], c[keep])
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        phases = np.exp(2j * np.pi * (np.asarray(points) @ self.kvecs.T))
-        return (phases @ self.coeffs).real
+        return _mode_sum(np.asarray(points, dtype=float), self.coeffs,
+                         self.kvecs)
 
 
 @dataclass(frozen=True)
@@ -355,8 +360,22 @@ def _as_model(tb: TrigBasis, field_like):
     return field_like
 
 
-def _flow_substeps(t: float, s: float, dt_flow: float) -> int:
-    return max(1, int(math.ceil(abs(t - s) / dt_flow)))
+def _march(rates, start: float, end: float, y: tuple, dt_flow: float) -> tuple:
+    """RK4 march of the characteristic state y = (position, ...) from time
+    `start` to `end` in steps of at most dt_flow.
+
+    rates(time, *y) returns the tendencies of y; time rides along as one
+    more state component of the shared RK4 step.
+    """
+    def tendencies(state):
+        return (1.0, *rates(*state))
+
+    nsub = max(1, int(math.ceil(abs(end - start) / dt_flow)))
+    dt = (end - start) / nsub
+    state = (start, *y)
+    for _ in range(nsub):
+        state = rk4_step(state, dt, tendencies)
+    return state[1:]
 
 
 def flow_map(tb: TrigBasis, vtraj, t: float, s: float,
@@ -364,63 +383,27 @@ def flow_map(tb: TrigBasis, vtraj, t: float, s: float,
     """Characteristic end points Phi(t, s, x) of dx/dt = v(t, x).
 
     `vtraj` is a CoefficientTrajectory (evaluated exactly through the
-    basis) or a callable (time, points) -> velocities, e.g. for constant
-    drifts outside the span. Integrates with RK4; results are wrapped
-    into [0,1)^3.
-    """
-    model = _as_model(tb, vtraj)
-    vel = getattr(model, "eval", model)
-    pts = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-    nsub = _flow_substeps(t, s, dt_flow)
-    dt = (t - s) / nsub
-    time = s
-    for _ in range(nsub):
-        k1 = vel(time, pts)
-        k2 = vel(time + 0.5 * dt, pts + 0.5 * dt * k1)
-        k3 = vel(time + 0.5 * dt, pts + 0.5 * dt * k2)
-        k4 = vel(time + dt, pts + dt * k3)
-        pts += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        time += dt
-    return pts % 1.0
-
-
-def _back_characteristics(tb: TrigBasis, vtraj, t: float, pts: np.ndarray,
-                          dt_flow: float):
-    """March (position, J) from time t back to 0 with dJ/ds = div v.
-
-    On return J = -integral_0^t div v(s, Phi(s, t, x)) ds, so the transported
-    density is h0(pos) * exp(J).
+    basis) or a field model such as UniformField. Integrates with RK4;
+    results are wrapped into [0,1)^3.
     """
     vm = _as_model(tb, vtraj)
-    y_pos = np.array(pts, dtype=float)
-    J = np.zeros(len(y_pos))
-    nsub = _flow_substeps(0.0, t, dt_flow)
-    dt = (0.0 - t) / nsub
-    time = t
-
-    def stage(p, tt):
-        return vm.eval(tt, p), vm.div(tt, p)
-
-    for _ in range(nsub):
-        v1, g1 = stage(y_pos, time)
-        v2, g2 = stage(y_pos + 0.5 * dt * v1, time + 0.5 * dt)
-        v3, g3 = stage(y_pos + 0.5 * dt * v2, time + 0.5 * dt)
-        v4, g4 = stage(y_pos + dt * v3, time + dt)
-        y_pos += (dt / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-        J += (dt / 6.0) * (g1 + 2 * g2 + 2 * g3 + g4)
-        time += dt
-    return y_pos % 1.0, J
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    (pts,) = _march(lambda time, p: (vm.eval(time, p),), s, t, (x,), dt_flow)
+    return pts % 1.0
 
 
 def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
                 t: float, grid: GridSpec, dt_flow: float = 1e-3) -> ScalarField:
     """Exact-characteristics solution of dt h + div(h v) = 0 at time t.
 
-    h(t, x) = h0(Phi(0,t,x)) exp(-integral_0^t div v(s, Phi(s,t,x)) ds).
+    h(t, x) = h0(Phi(0,t,x)) exp(-integral_0^t div v(s, Phi(s,t,x)) ds):
+    the backward march carries the foot and J with dJ/ds = div v, J(t) = 0.
     """
-    pts = np.stack([m.ravel() for m in grid.mesh], axis=1)
-    feet, J = _back_characteristics(tb, vtraj, t, pts, dt_flow)
-    vals = h0.eval(feet) * np.exp(J)
+    vm = _as_model(tb, vtraj)
+    pts = _grid_points(grid)
+    feet, J = _march(lambda s, p, _: (vm.eval(s, p), vm.div(s, p)),
+                     t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
+    vals = h0.eval(feet % 1.0) * np.exp(J)
     return ScalarField(grid, vals.reshape(grid.shape))
 
 
@@ -428,42 +411,26 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
                 grid: GridSpec, dt_flow: float = 1e-3) -> VectorField3:
     """Characteristics representation of dt B + curl(B x v + d) = 0.
 
-    Along each characteristic the auxiliary G solves
-        dG/ds = (grad v) G - (curl d) exp(+I(s)),   G(0) = B0(foot),
-    with I(s) the accumulated divergence, and B(t,x) = G(t) exp(-I(t)).
+    Along a characteristic B solves the linear ODE (Cauchy's Lagrangian form
+    of the induction equation with a Duhamel term for curl d)
+        dB/ds = A B - curl d,   A = grad v - (div v) I,
+    so B(t) = Z(s) B(s) + c(s) with Z(t) = I, dZ/ds = -Z A, c(t) = 0 and
+    dc/ds = Z curl d. One backward march from the grid carries the foot,
+    Z and c, and B(t, x) = Z(0) B0(foot) + c(0).
     """
     vm = _as_model(tb, vtraj)
     dm = _as_model(tb, dtraj)
-    pts = np.stack([m.ravel() for m in grid.mesh], axis=1)
-    feet, _ = _back_characteristics(tb, vm, t, pts, dt_flow)
+    pts = _grid_points(grid)
+    eye = np.eye(3)
 
-    pos = feet.copy()
-    I = np.zeros(len(pos))
-    G = B0.eval(feet)
-    nsub = _flow_substeps(t, 0.0, dt_flow)
-    dt = t / nsub
-    time = 0.0
+    def rates(s, p, Z, c):
+        jac = vm.jacobian(s, p)
+        A = jac - np.trace(jac, axis1=1, axis2=2)[:, None, None] * eye
+        return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, dm.curl(s, p))
 
-    def stage(p, i_acc, g_val, tt):
-        vel = vm.eval(tt, p)
-        jac = vm.jacobian(tt, p)
-        dv = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
-        curld = dm.curl(tt, p)
-        dG = np.einsum("mij,mj->mi", jac, g_val) - curld * np.exp(i_acc)[:, None]
-        return vel, dv, dG
-
-    for _ in range(nsub):
-        v1, i1, g1 = stage(pos, I, G, time)
-        v2, i2, g2 = stage(pos + 0.5 * dt * v1, I + 0.5 * dt * i1,
-                           G + 0.5 * dt * g1, time + 0.5 * dt)
-        v3, i3, g3 = stage(pos + 0.5 * dt * v2, I + 0.5 * dt * i2,
-                           G + 0.5 * dt * g2, time + 0.5 * dt)
-        v4, i4, g4 = stage(pos + dt * v3, I + dt * i3, G + dt * g3, time + dt)
-        pos += (dt / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-        I += (dt / 6.0) * (i1 + 2 * i2 + 2 * i3 + i4)
-        G += (dt / 6.0) * (g1 + 2 * g2 + 2 * g3 + g4)
-        time += dt
-    vals = G * np.exp(-I)[:, None]
+    Z0 = np.broadcast_to(eye, (len(pts), 3, 3))
+    feet, Z, c = _march(rates, t, 0.0, (pts, Z0, np.zeros_like(pts)), dt_flow)
+    vals = np.einsum("mij,mj->mi", Z, B0.eval(feet % 1.0)) + c
     return VectorField3(grid, vals.T.reshape(3, *grid.shape))
 
 
@@ -473,15 +440,17 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
 
 @dataclass(frozen=True)
 class GalerkinConfig:
+    """Galerkin run parameters; the defaults are those of `galerkin-run`."""
+
     N: int = 7
     eps: float = 0.1
-    l: int = 8
-    dt: float = 1e-3
-    T: float = 0.05
+    l: int = 1
+    dt: float = 2e-4
+    T: float = 0.01
     picard: bool = False
     picard_tol: float = 1e-10
     picard_max_iter: int = 60
-    sigma: float = 0.01
+    sigma: float = 0.004
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from abimhd import dmhd, galerkin
 from abimhd.cli import main
 from abimhd.snapshots import read_snapshot
 
@@ -75,6 +78,18 @@ class TestExitCodes:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("bad", ["[certify]\nrandom_frames = -1\n",
+                                     "[certify]\nframe_amp = wide\n",
+                                     "[scenario]\nkmax = 0\n"])
+    def test_frame_keys_checked_before_the_run(self, tmp_path, monkeypatch,
+                                               bad):
+        runs = []
+        monkeypatch.setattr(dmhd, "dmhd_run", lambda *a, **k: runs.append(a))
+        cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nn = 8\n" + bad)
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert runs == []
+
     def test_genuine_run_passes(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",
                         "[grid]\nn = 8\n[run]\nt_final = 0.004\n")
@@ -118,6 +133,19 @@ class TestOtherSubcommands:
         (count,) = struct.unpack("<Q", raw[:8])
         assert count == 2 * 3 * 6   # d and v coefficients, 6N each
         assert len(raw) == 8 + 8 * count
+
+    def test_galerkin_defaults_are_the_config_defaults(self, tmp_path,
+                                                       monkeypatch):
+        class Handed(Exception):
+            pass
+
+        def spy(h0, B0, D0, P0, cfg):
+            raise Handed(cfg)
+
+        monkeypatch.setattr(galerkin, "galerkin_run", spy)
+        with pytest.raises(Handed) as info:
+            main(["galerkin-run", "--out", str(tmp_path / "o"), "--quiet"])
+        assert info.value.args[0] == galerkin.GalerkinConfig()
 
     def test_mollify(self, tmp_path):
         data = tmp_path / "data.txt"

@@ -9,7 +9,9 @@ from abimhd.fields import (
     GridSpec,
     ScalarField,
     VectorField3,
+    eval_at,
     random_band_limited,
+    random_divergence_free,
 )
 from abimhd.galerkin import (
     BasisSpec,
@@ -258,6 +260,59 @@ class TestTransport:
             (B,) = rk4_step((B,), t_end / n, rhs)
         assert np.abs(Bt.values - B).max() < 1e-5
         assert np.abs(g.div_arr(Bt.values)).max() < 1e-6
+
+    def test_B_one_march_per_node(self, tb16, grid16, monkeypatch):
+        # B takes one backward march: per RK stage one value and one
+        # Jacobian of v and one curl of d, and no second march for the feet
+        counts = {"eval": 0, "eval_jacobian": 0}
+        for name in counts:
+            original = getattr(TrigBasis, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(TrigBasis, name, counted)
+        B0 = VectorField3.from_function(
+            grid16, lambda x, y, z: (0.2 * np.sin(2 * np.pi * y), 0 * x, 0 * x))
+        nsub = 3
+        transport_B(tb16, shear_trajectory(tb16), shear_trajectory(tb16),
+                    ModalVector.from_field(B0), 2.5e-3, grid16, dt_flow=1e-3)
+        assert counts == {"eval": 4 * nsub, "eval_jacobian": 8 * nsub}
+
+    def test_B_matches_fine_reference(self, rng):
+        # coefficients linear in time; the default dt_flow against 400 substeps
+        g = GridSpec(8)
+        tb = TrigBasis(BasisSpec(7), g)
+        c = 0.3 * rng.standard_normal((2, 2, 3, 14))
+        times = np.array([0.0, 0.05])
+        vtraj = CoefficientTrajectory(times, c[:, 0])
+        dtraj = CoefficientTrajectory(times, c[:, 1])
+        B0 = ModalVector.from_field(random_divergence_free(g, rng, 2, 0.3))
+        t = 0.02
+        Bt = transport_B(tb, vtraj, dtraj, B0, t, g)
+        ref = transport_B(tb, vtraj, dtraj, B0, t, g, dt_flow=t / 400)
+        assert np.abs(Bt.values - ref.values).max() < 1e-5
+
+
+class TestModalScalar:
+    def test_full_spectrum_eval_is_bounded_and_exact(self, grid16, rng):
+        # every one of the n^3 modes at every grid point, point-chunked
+        import tracemalloc
+
+        f = ScalarField(grid16, rng.standard_normal(grid16.shape))
+        modal = ModalScalar.from_field(f)
+        assert len(modal.coeffs) == grid16.num_points
+        pts = np.stack([m.ravel() for m in grid16.mesh], axis=1)
+        tracemalloc.start()
+        try:
+            vals = modal.eval(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+        np.testing.assert_allclose(vals, eval_at(f, pts), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vals, f.values.ravel(), rtol=0, atol=1e-10)
 
 
 def consistent_galerkin_data(grid):
