@@ -22,7 +22,7 @@ import argparse
 import os
 import struct
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig
@@ -274,21 +274,22 @@ def _cmd_compare(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _certify_frames(traj, rng, extra: int, kmax: int, amp: float):
-    from .entropy import TestFieldFrame, frames_from_dmhd, random_frame
+def _held_frames(base, times):
+    """Frame `base` at every time of `times`, with zero time derivatives
+    (as a constant family must have for the forcing term to be consistent)."""
     from .fields import ScalarField, VectorField3
 
+    zs, zv = ScalarField.constant(base.grid, 0.0), VectorField3.zero(base.grid)
+    return [replace(base, t=t, dt_h_star_inv=zs, dt_b_star=zv) for t in times]
+
+
+def _certify_frames(traj, rng, extra: int, kmax: int, amp: float):
+    from .entropy import frames_from_dmhd, random_frame
+
     families = [("solution", frames_from_dmhd(traj))]
-    g = traj.states[0].grid
-    zs = ScalarField.constant(g, 0.0)
-    zv = VectorField3.zero(g)
     for j in range(extra):
-        base = random_frame(g, rng, kmax=kmax, amplitude=amp)
-        # the family is constant in time, so its claimed time derivatives
-        # must vanish for the forcing term to be consistent
-        fam = [TestFieldFrame(t, base.h_star_inv, base.b_star, base.d_star,
-                              base.v_star, zs, zv) for t in traj.times]
-        families.append((f"random{j}", fam))
+        base = random_frame(traj.states[0].grid, rng, kmax=kmax, amplitude=amp)
+        families.append((f"random{j}", _held_frames(base, traj.times)))
     return families
 
 
@@ -353,7 +354,6 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
 
     from .entropy import (
         SampleTrajectory,
-        TestFieldFrame,
         identity_residual_check,
         random_frame,
     )
@@ -372,12 +372,7 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
     varphi = random_vector(grid, rng, 2, amp).values
     sol = SampleTrajectory.manufactured(h0, B0, dt, n_steps, psi, varphi)
     base = random_frame(grid, rng, kmax=2, amplitude=frame_amp)
-    from .fields import ScalarField, VectorField3
-    zs = ScalarField.constant(grid, 0.0)
-    zv = VectorField3.zero(grid)
-    frames = [TestFieldFrame(t, base.h_star_inv, base.b_star, base.d_star,
-                             base.v_star, zs, zv) for t in sol.times]
-    chk = identity_residual_check(sol, frames)
+    chk = identity_residual_check(sol, _held_frames(base, sol.times))
     write_csv(out / "identity_check.csv", ("t", "lhs", "rhs"),
               zip(chk.times, chk.lhs, chk.rhs))
     scale = max(np.abs(chk.lhs).max(), np.abs(chk.rhs).max(), 1e-300)

@@ -182,48 +182,53 @@ class QMatrixField:
     def symmetry_defect(self) -> float:
         return float(np.abs(self.values - self.values.swapaxes(-1, -2)).max())
 
-    def shifted(self, r: float) -> np.ndarray:
-        """Q + r on the first four diagonal slots (Q_r), as a new array."""
-        out = self.values.copy()
-        for i in range(4):
-            out[..., i, i] += r
-        return out
+
+def _frame_derivatives(frame: TestFieldFrame) -> tuple:
+    """(grad v*, grad b*, curl d*), all that Q(w*) and L(w*) differentiate,
+    with Jacobians [i, j] = d_j v_i of shape (3, 3, n, n, n)."""
+    g = frame.grid
+    return (g.jacobian_arr(frame.v_star.values),
+            g.jacobian_arr(frame.b_star.values),
+            g.curl_arr(frame.d_star.values))
+
+
+def _q_apply(der: tuple, W: np.ndarray) -> np.ndarray:
+    """Q(w*) W pointwise for W of shape (10, ...) and the frame's
+    `_frame_derivatives` der. The one statement of Q, by blocks over the
+    slots (scalar, B, D, P): -2 div v* on scalar, curl d* on scalar<->B,
+    -curl b* on scalar<->D, -(grad v* + grad v*^T) on B, grad b* - grad b*^T
+    on row B, column P, its transpose on row P, column B, and 2 I_3 on D, P.
+    """
+    jac_v, jac_b, curl_d = der
+    curl_b = _curl_of(jac_b)
+    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
+    anti_b = jac_b - jac_b.swapaxes(0, 1)
+    s, wB, wD, wP = W[0], W[1:4], W[4:7], W[7:10]
+    return np.concatenate([
+        (-2.0 * div_v * s + (curl_d * wB).sum(0) - (curl_b * wD).sum(0))[None],
+        curl_d * s - _matvec(jac_v + jac_v.swapaxes(0, 1), wB)
+        + _matvec(anti_b, wP),
+        2.0 * wD - curl_b * s,
+        2.0 * wP - _matvec(anti_b, wB),
+    ])
+
+
+def _matvec(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise M w for a (3, 3, ...) matrix field and a (3, ...) vector."""
+    return np.einsum("ij...,j...->i...", M, w)
 
 
 def q_matrix(frame: TestFieldFrame) -> QMatrixField:
-    """Assemble Q(w*) from spectral derivatives of the frame.
+    """The dense field Q(w*), its columns `_q_apply` of the unit vectors.
 
-    Vector gradients use the Jacobian convention (grad v)_{ij} = d_j v_i;
-    blocks: -2 div v* (scalar), curl d* coupling scalar<->B, -curl b*
-    coupling scalar<->D, -(grad v* + grad v*^T) on B, grad b* - grad b*^T
-    coupling B<->P, and 2 I_3 on the D and P diagonals.
+    Q is stated once, blockwise, in `_q_apply`, which the certificate
+    applies; only `r0`, which eigensolves the pointwise matrices, forms this.
     """
     g = frame.grid
-    v = frame.v_star.values
-    b = frame.b_star.values
-    d = frame.d_star.values
-    jac_v = g.jacobian_arr(v)                      # [i, j] = d_j v_i
-    jac_b = g.jacobian_arr(b)
-    curl_d = g.curl_arr(d)
-    curl_b = _curl_of(jac_b)
-    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
-
-    M = np.zeros((*g.shape, 10, 10))
-    M[..., 0, 0] = -2.0 * div_v
-    cd = np.moveaxis(curl_d, 0, -1)
-    cb = np.moveaxis(curl_b, 0, -1)
-    M[..., 0, 1:4] = cd
-    M[..., 1:4, 0] = cd
-    M[..., 0, 4:7] = -cb
-    M[..., 4:7, 0] = -cb
-    jv = np.moveaxis(jac_v, (0, 1), (-2, -1))
-    jb = np.moveaxis(jac_b, (0, 1), (-2, -1))
-    M[..., 1:4, 1:4] = -(jv + jv.swapaxes(-1, -2))
-    anti_b = jb - jb.swapaxes(-1, -2)
-    M[..., 1:4, 7:10] = anti_b
-    M[..., 7:10, 1:4] = -anti_b
-    for i in range(4, 10):
-        M[..., i, i] = 2.0
+    der = _frame_derivatives(frame)
+    M = np.empty((*g.shape, 10, 10))
+    for j, e in enumerate(np.eye(10)):
+        M[..., j] = np.moveaxis(_q_apply(der, e[:, None, None, None]), 0, -1)
     return QMatrixField(g, M)
 
 
@@ -241,26 +246,29 @@ def l_operator(frame: TestFieldFrame) -> np.ndarray:
     L vanishes (to the discretization floor) exactly when the frame is the
     non-conservative image of a smooth solution of the diffusion system.
     """
-    g = frame.grid
-    da = g.dealias_arr
-    tau = frame.h_star_inv.values
-    b = frame.b_star.values
-    d = frame.d_star.values
-    v = frame.v_star.values
-    grad_tau = g.grad_arr(tau)
-    jac_b = g.jacobian_arr(b)
-    jac_v = g.jacobian_arr(v)
-    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
+    return _forcing(frame, _frame_derivatives(frame))
 
-    L_h = (frame.dt_h_star_inv.values - da(tau * div_v)
-           + da((v * grad_tau).sum(0)))
-    adv_vb = da(np.einsum("jxyz,ijxyz->ixyz", v, jac_b))
-    adv_bv = da(np.einsum("jxyz,ijxyz->ixyz", b, jac_v))
-    L_B = frame.dt_b_star.values + adv_vb - adv_bv + da(tau * g.curl_arr(d))
-    L_D = d - da(tau * _curl_of(jac_b))
-    adv_bb = da(np.einsum("jxyz,ijxyz->ixyz", b, jac_b))
-    L_P = v - adv_bb - da(tau * grad_tau)
-    return np.concatenate([L_h[None], L_B, L_D, L_P])
+
+def _forcing(frame: TestFieldFrame, der: tuple) -> np.ndarray:
+    """L(w*) from the frame's derivatives: the products of each of the four
+    slots are summed in physical space and dealiased in one round trip."""
+    g = frame.grid
+    jac_v, jac_b, curl_d = der
+    tau, b = frame.h_star_inv.values, frame.b_star.values
+    d, v = frame.d_star.values, frame.v_star.values
+    grad_tau = g.grad_arr(tau)
+    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
+    L = g.dealias_arr(np.concatenate([
+        ((v * grad_tau).sum(0) - tau * div_v)[None],
+        _matvec(jac_b, v) - _matvec(jac_v, b) + tau * curl_d,
+        -tau * _curl_of(jac_b),
+        -_matvec(jac_b, b) - tau * grad_tau,
+    ]))
+    L[0] += frame.dt_h_star_inv.values
+    L[1:4] += frame.dt_b_star.values
+    L[4:7] += d
+    L[7:10] += v
+    return L
 
 
 def q_decomposition_defect(frame: TestFieldFrame) -> float:
@@ -272,16 +280,12 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
     is exact for frames whose products stay below the dealiasing cutoff.
     """
     g = frame.grid
-    tau = frame.h_star_inv.values
-    b = frame.b_star.values
-    d = frame.d_star.values
-    v = frame.v_star.values
-    w = np.concatenate([tau[None], b, d, v])
-    Q = q_matrix(frame).values
-    qw = np.einsum("xyzij,jxyz->ixyz", Q, w)
+    tau, b = frame.h_star_inv.values, frame.b_star.values
+    d, v = frame.d_star.values, frame.v_star.values
+    der = _frame_derivatives(frame)
+    qw = _q_apply(der, np.concatenate([tau[None], b, d, v]))
 
-    L = l_operator(frame)
-    rhs = L.copy()
+    rhs = _forcing(frame, der)
     rhs[0] -= frame.dt_h_star_inv.values
     rhs[1:4] -= frame.dt_b_star.values
     rhs[0] += g.ifft(g.div_hat(g.fft_masked(cross3(d, b) - tau * v)))
@@ -354,10 +358,14 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
     return best
 
 
-def _q_form_integral(h: np.ndarray, W: np.ndarray, Q: np.ndarray) -> float:
-    """integral(W^T Q W / (2 h)); +inf marker on positivity loss."""
-    quad = np.einsum("xyzij,ixyz,jxyz->xyz", Q, W, W)
-    return _floored_quotient(quad, h, W, DEFAULT_H_FLOOR)
+def _frame_terms(frame: TestFieldFrame, h: np.ndarray, W: np.ndarray,
+                 r: float) -> tuple[float, float]:
+    """(integral(W^T Q_r W / 2h) or +inf on positivity loss, integral(W . L))
+    from one derivation of the frame; Q_r adds r to Q's first four slots."""
+    der = _frame_derivatives(frame)
+    quad = (W * _q_apply(der, W)).sum(0) + r * (W[:4] ** 2).sum(0)
+    return (_floored_quotient(quad, h, W, DEFAULT_H_FLOOR),
+            float((W * _forcing(frame, der)).sum(0).mean()))
 
 
 def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
@@ -378,8 +386,9 @@ def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
         raise FieldDataError("need s <= t")
     vals = []
     for k in range(i0, i1 + 1):
-        v = _q_form_integral(np.asarray(rho_list[k]), np.asarray(W_list[k]),
-                             np.asarray(Q_list[k]))
+        W = np.asarray(W_list[k])
+        quad = np.einsum("xyzij,ixyz,jxyz->xyz", np.asarray(Q_list[k]), W, W)
+        v = _floored_quotient(quad, np.asarray(rho_list[k]), W, DEFAULT_H_FLOOR)
         if math.isinf(v):
             return math.inf
         vals.append(v)
@@ -597,6 +606,14 @@ def _modulated_fields(h, B, D, P, frame: TestFieldFrame):
     return U, W
 
 
+def _require_shared_times(sol: SampleTrajectory,
+                          frames: Sequence[TestFieldFrame]) -> None:
+    ftimes = np.array([f.t for f in frames], dtype=float)
+    if len(frames) != len(sol) or not np.allclose(ftimes, sol.times,
+                                                  atol=1e-12):
+        raise FieldDataError("frames and trajectory must share the time axis")
+
+
 @dataclass
 class EntropyReport:
     """Certificate time series for one (trajectory, test-field) pair."""
@@ -632,10 +649,7 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
     inequality. Requires r >= r0 of the frames (recomputed here unless the
     caller supplies a certified value).
     """
-    ftimes = np.array([f.t for f in frames], dtype=float)
-    if len(frames) != len(sol) or not np.allclose(ftimes, sol.times,
-                                                  atol=1e-12):
-        raise FieldDataError("frames and trajectory must share the time axis")
+    _require_shared_times(sol, frames)
     r0_val = r0(frames) if r0_value is None else float(r0_value)
     if r < r0_val - 1e-12:
         raise FieldDataError(
@@ -650,10 +664,9 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
         h = sol.h[k]
         U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frame)
         lam[k] = lambda_functional(ScalarField(sol.grid, h), U)
-        Qr = q_matrix(frame).shifted(r)
+        quad, lin = _frame_terms(frame, h, W, r)
         wt = math.exp(-r * sol.times[k])
-        q_int[k] = wt * _q_form_integral(h, W, Qr)
-        r_int[k] = wt * float((W * l_operator(frame)).sum(0).mean())
+        q_int[k], r_int[k] = wt * quad, wt * lin
 
     dt_seg = np.diff(sol.times)
     lam_tilde = np.concatenate([[0.0],
@@ -707,6 +720,7 @@ def identity_residual_check(sol: SampleTrajectory,
     T = len(sol)
     if T < 3:
         raise FieldDataError("identity check needs at least three samples")
+    _require_shared_times(sol, frames)
 
     ent = np.empty(T)
     for k in range(T):
@@ -733,8 +747,7 @@ def identity_residual_check(sol: SampleTrajectory,
         varphi = P - P_c
 
         _, W = _modulated_fields(h, B, D, P, frame)
-        quad = _q_form_integral(h, W, q_matrix(frame).values)
-        lin = float((W * l_operator(frame)).sum(0).mean())
+        quad, lin = _frame_terms(frame, h, W, 0.0)
         lhs[k - 1] = dent + quad + lin
         term_scale = max(term_scale, abs(dent), abs(quad), abs(lin))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abimhd import entropy
 from abimhd._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
 from abimhd.dmhd import DmhdState, dmhd_cfl_dt, dmhd_run, energy
 from abimhd.entropy import (
@@ -32,6 +33,10 @@ from abimhd.fields import (
     random_vector,
 )
 from conftest import fd_curl, fd_grad, single_mode_pair
+
+
+# Q_r = Q + r on the first four diagonal slots
+SHIFT_SLOTS = np.diag([1.0] * 4 + [0.0] * 6)
 
 
 def shear_frame(grid):
@@ -67,7 +72,74 @@ class TestJacobi:
         assert np.allclose(jacobi_eigenvalues(mats)[0], [-1.0, 0.0, 2.0, 3.0])
 
 
+def dense_q_oracle(frame):
+    """Plain-numpy copy of the block-by-block dense assembly of Q(w*)."""
+    n = frame.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    two_pi_i = 2j * np.pi
+    dx, dy, dz = (two_pi_i * k.reshape(-1, 1, 1), two_pi_i * k.reshape(1, -1, 1),
+                  two_pi_i * np.fft.rfftfreq(n, d=1.0 / n).reshape(1, 1, -1))
+
+    def fft(a):
+        return np.fft.rfftn(a, axes=(-3, -2, -1))
+
+    def ifft(ah):
+        return np.fft.irfftn(ah, s=(n, n, n), axes=(-3, -2, -1))
+
+    def jacobian(a):                                # [i, j] = d_j a_i
+        return np.stack([ifft(np.stack([fft(a[i]) * d for d in (dx, dy, dz)]))
+                         for i in range(3)])
+
+    dh = fft(frame.d_star.values)
+    curl_d = ifft(np.stack([dy * dh[2] - dz * dh[1], dz * dh[0] - dx * dh[2],
+                            dx * dh[1] - dy * dh[0]]))
+    jac_v = jacobian(frame.v_star.values)
+    jac_b = jacobian(frame.b_star.values)
+    curl_b = np.stack([jac_b[2, 1] - jac_b[1, 2], jac_b[0, 2] - jac_b[2, 0],
+                       jac_b[1, 0] - jac_b[0, 1]])
+    M = np.zeros((n, n, n, 10, 10))
+    M[..., 0, 0] = -2.0 * (jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2])
+    cd = np.moveaxis(curl_d, 0, -1)
+    cb = np.moveaxis(curl_b, 0, -1)
+    M[..., 0, 1:4] = M[..., 1:4, 0] = cd
+    M[..., 0, 4:7] = M[..., 4:7, 0] = -cb
+    jv = np.moveaxis(jac_v, (0, 1), (-2, -1))
+    jb = np.moveaxis(jac_b, (0, 1), (-2, -1))
+    M[..., 1:4, 1:4] = -(jv + jv.swapaxes(-1, -2))
+    anti_b = jb - jb.swapaxes(-1, -2)
+    M[..., 1:4, 7:10] = anti_b
+    M[..., 7:10, 1:4] = -anti_b
+    for i in range(4, 10):
+        M[..., i, i] = 2.0
+    return M
+
+
+def oracle_frames(n):
+    g = GridSpec(n)
+    rng = np.random.default_rng(n)
+    return [constant_frame(g, 2.0, b=(0.1, -0.2, 0.3), d=(0.4, 0.0, -0.1),
+                           v=(-0.3, 0.2, 0.0)),
+            shear_frame(g),
+            random_frame(g, rng, kmax=2, amplitude=0.3),
+            random_frame(g, rng, kmax=n // 2, amplitude=0.5)]
+
+
 class TestQMatrix:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_equals_dense_assembly(self, n):
+        # IEEE equality: every entry is the same float (a zero may differ
+        # in sign, which no consumer of Q observes)
+        for fr in oracle_frames(n):
+            assert np.array_equal(q_matrix(fr).values, dense_q_oracle(fr))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_blockwise_apply_matches_dense_product(self, n, rng):
+        for fr in oracle_frames(n):
+            W = rng.standard_normal((10, n, n, n))
+            got = entropy._q_apply(entropy._frame_derivatives(fr), W)
+            want = np.einsum("xyzij,jxyz->ixyz", q_matrix(fr).values, W)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_constant_frame_block_structure(self, grid16):
         Q = q_matrix(constant_frame(grid16))
         vals = Q.values
@@ -127,7 +199,7 @@ class TestR0:
     def test_result_certifies_feasibility(self, grid16, rng):
         fr = random_frame(grid16, rng, kmax=2, amplitude=0.4)
         r = r0([fr])
-        Q = q_matrix(fr).shifted(r).reshape(-1, 10, 10) - np.eye(10)
+        Q = q_matrix(fr).flat() + r * SHIFT_SLOTS - np.eye(10)
         assert jacobi_min_eigenvalue(Q).min() >= -1e-9
 
     def test_rejects_target_of_two(self, grid16):
@@ -163,7 +235,7 @@ class TestR0:
                   for k in range(2)]
         r = r0(frames)
         for f in frames:
-            M = q_matrix(f).shifted(r).reshape(-1, 10, 10) - np.eye(10)
+            M = q_matrix(f).flat() + r * SHIFT_SLOTS - np.eye(10)
             assert np.linalg.eigvalsh(M)[:, 0].min() >= -1e-12 * (1 + r)
 
     def test_corrupted_fixed_block_raises(self, grid16, rng, monkeypatch):
@@ -397,10 +469,7 @@ class TestDissipativeSlack:
         B0p = VectorField3(
             grid16,
             traj.states[0].B.values + 0.01 * 0.3 * B0p.values)
-        dt = traj.times[1] / (len(traj.diagnostics) - 1) * 0  # unused
-        step = (traj.times[-1] - traj.times[0]) / (len(traj.times) - 1)
         n_steps = 60
-        base_dt = dmhd_cfl_dt(DmhdState(h0p, B0p)) * 0.8
         ptraj = dmhd_run(DmhdState(h0p, B0p),
                          (traj.times[-1]) / n_steps, n_steps, save_every=6)
         psol = SampleTrajectory.from_dmhd(ptraj)
@@ -422,6 +491,41 @@ class TestDissipativeSlack:
         rep_m = dissipative_slack(mid, frames, r=r0v, r0_value=r0v)
         worst = np.maximum(rep_a.slack_t, rep_b.slack_t)
         assert np.all(rep_m.slack_t <= worst + 1e-10)
+
+
+    def test_terms_match_dense_quadrature(self, grid16, rng):
+        s0, traj, sol, _ = make_solution_pack(grid16, n_steps=10,
+                                              save_every=5)
+        frames = static_frames(random_frame(grid16, rng, amplitude=0.3),
+                               sol.times)
+        r = r0(frames) + 0.5
+        rep = dissipative_slack(sol, frames, r=r, r0_value=r)
+        Ws, Qs, lin = [], [], []
+        for k, f in enumerate(frames):
+            _, W = entropy._modulated_fields(sol.h[k], sol.B[k], sol.D[k],
+                                             sol.P[k], f)
+            wt = math.exp(-r * sol.times[k])
+            Ws.append(W)
+            Qs.append(wt * (q_matrix(f).values + r * SHIFT_SLOTS))
+            lin.append(wt * float((W * l_operator(f)).sum(0).mean()))
+        dense = lambda_tilde(sol.times, sol.h, Ws, Qs, 0.0, sol.times[-1])
+        assert rep.lambda_tilde_cum[-1] == pytest.approx(dense, rel=1e-12)
+        assert rep.R_t[-1] == pytest.approx(np.trapezoid(lin, sol.times),
+                                            rel=1e-12)
+
+    def test_certificate_never_forms_dense_q(self, grid16, monkeypatch):
+        s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
+                                                   save_every=5)
+        r0v = r0(frames)
+
+        def dense(frame):
+            raise AssertionError("dense Q formed")
+
+        monkeypatch.setattr(entropy, "q_matrix", dense)
+        rep = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
+        assert rep.slack_t[0] == 0.0
+        chk = identity_residual_check(sol, frames)
+        assert chk.lhs.shape == (1,)
 
 
 class TestHolderQuotient:
@@ -452,6 +556,19 @@ class TestIdentity:
         # frame equals the solution itself: the right side vanishes exactly
         assert np.abs(chk.rhs).max() == 0.0
         assert np.abs(chk.lhs).max() < 1e-6
+
+    @pytest.mark.parametrize("case", ["shifted", "short", "extra"])
+    def test_rejects_frames_off_the_time_axis(self, grid16, case):
+        s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
+                                                   save_every=5)
+        if case == "shifted":
+            frames = static_frames(frames[0], sol.times + 1e-3)
+        elif case == "short":
+            frames = frames[:-1]
+        else:
+            frames = frames + static_frames(frames[-1], [sol.times[-1] + 1.0])
+        with pytest.raises(FieldDataError, match="time axis"):
+            identity_residual_check(sol, frames)
 
     def test_manufactured_residuals_balance(self, grid16, rng):
         h0, B0 = single_mode_pair(grid16)

@@ -13,7 +13,15 @@ import pytest
 
 from abimhd import abi, dmhd, galerkin
 from abimhd.abi import AbiState, abi_rhs
-from abimhd.entropy import SampleTrajectory, _curl_of, frames_from_dmhd
+from abimhd.entropy import (
+    SampleTrajectory,
+    TestFieldFrame,
+    _curl_of,
+    dissipative_slack,
+    frames_from_dmhd,
+    l_operator,
+    random_frame,
+)
 from abimhd.fields import (
     SYM_PAIRS,
     GridSpec,
@@ -125,6 +133,24 @@ def oracle_galerkin_rhs(o, tb, cfg, h, B, chi_d, chi_v):
             tb.project(N) - lam_l * cv - chi_v / cfg.eps)
 
 
+def oracle_l_operator(o, tau, b, d, v, dt_tau, dt_b):
+    """L(w*) with each of its eight products dealiased on its own."""
+    def adv(a, J):
+        return np.einsum("jxyz,ijxyz->ixyz", a, J)
+
+    grad_tau = o.grad(tau)
+    jac_b = np.stack([o.grad(b[i]) for i in range(3)])
+    jac_v = np.stack([o.grad(v[i]) for i in range(3)])
+    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
+    L_h = (dt_tau - o.dealias(tau * div_v)
+           + o.dealias((v * grad_tau).sum(0)))
+    L_B = (dt_b + o.dealias(adv(v, jac_b)) - o.dealias(adv(b, jac_v))
+           + o.dealias(tau * o.curl(d)))
+    L_D = d - o.dealias(tau * o.curl(b))
+    L_P = v - o.dealias(adv(b, jac_b)) - o.dealias(tau * grad_tau)
+    return L_h, L_B, L_D, L_P
+
+
 def sample(n, kind, seed=7):
     """(h, B, D, P): band-limited (|k_i| <= 3) or full-spectrum noise."""
     g = GridSpec(n)
@@ -221,6 +247,19 @@ def test_picard_node_sources_equal_mol_sources(n, N):
     mol = galerkin._galerkin_rhs_arrays(g, tb, (h, B, chi_d, chi_v), cfg)[2:]
     node = galerkin._node_sources(g, tb, cfg, h, B, cd, cv)
     assert rel_dev(node, mol) <= RTOL
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_l_operator_matches_oracle(n, kind):
+    g, h, B, D, P = sample(n, kind)
+    dt_tau, dt_b = h - 1.0, np.roll(B, 1, axis=0)
+    frame = TestFieldFrame(0.0, ScalarField(g, h), VectorField3(g, B),
+                           VectorField3(g, D), VectorField3(g, P),
+                           ScalarField(g, dt_tau), VectorField3(g, dt_b))
+    L = l_operator(frame)
+    got = (L[0], L[1:4], L[4:7], L[7:10])
+    want = oracle_l_operator(ComposedOracle(n), h, B, D, P, dt_tau, dt_b)
+    assert rel_dev(got, want) <= RTOL
 
 
 @pytest.mark.parametrize("kind", ["band", "full"])
@@ -334,3 +373,13 @@ def test_galerkin_transform_counts(transforms):
     y = (h, B, galerkin.mass_apply(tb, h, cd), galerkin.mass_apply(tb, h, cv))
     assert transforms(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) <= 60
     assert transforms(galerkin._node_sources, g, tb, cfg, h, B, cd, cv) <= 45
+
+
+def test_entropy_transform_counts(transforms):
+    g = GridSpec(16)
+    frame = random_frame(g, np.random.default_rng(9), amplitude=0.3)
+    assert transforms(l_operator, frame) <= 54
+    h = np.ones((1, *g.shape))
+    z = np.zeros((1, 3, *g.shape))
+    sol = SampleTrajectory(g, np.array([0.0]), h, z, z, z)
+    assert transforms(dissipative_slack, sol, [frame], 1.0, 0.5) <= 56
