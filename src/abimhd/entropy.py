@@ -27,7 +27,7 @@ dual supremum is available only as a finite-family lower bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ from .snapshots import format_float, write_csv
 
 __all__ = [
     "TestFieldFrame",
-    "QMatrixField",
     "EntropyReport",
     "SampleTrajectory",
     "q_matrix",
@@ -165,24 +164,6 @@ def frames_from_dmhd(traj: DmhdTrajectory) -> list[TestFieldFrame]:
 # The weight matrix Q(w*) and forcing term L(w*).
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QMatrixField:
-    """Pointwise symmetric 10x10 weight matrices, shape (n, n, n, 10, 10).
-
-    Slot order: scalar, B (3), D (3), P (3). The lower-right 6x6 block is
-    exactly twice the identity by construction.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1, 10, 10)
-
-    def symmetry_defect(self) -> float:
-        return float(np.abs(self.values - self.values.swapaxes(-1, -2)).max())
-
-
 def _frame_derivatives(frame: TestFieldFrame) -> tuple:
     """(grad v*, grad b*, curl d*), all that Q(w*) and L(w*) differentiate,
     with Jacobians [i, j] = d_j v_i of shape (3, 3, n, n, n)."""
@@ -218,18 +199,19 @@ def _matvec(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", M, w)
 
 
-def q_matrix(frame: TestFieldFrame) -> QMatrixField:
-    """The dense field Q(w*), its columns `_q_apply` of the unit vectors.
+def _q_columns(der: tuple, cols: Sequence[int], at=slice(None)) -> np.ndarray:
+    """Columns `cols` of Q(w*), `_q_apply` of the unit vectors, at the flat
+    grid points `at` (all by default), shape (points, 10, len(cols))."""
+    der = tuple(d.reshape(*d.shape[:-3], -1)[..., at, None] for d in der)
+    return np.moveaxis(_q_apply(der, np.eye(10)[:, None, cols]), 0, 1)
 
-    Q is stated once, blockwise, in `_q_apply`, which the certificate
-    applies; only `r0`, which eigensolves the pointwise matrices, forms this.
-    """
-    g = frame.grid
-    der = _frame_derivatives(frame)
-    M = np.empty((*g.shape, 10, 10))
-    for j, e in enumerate(np.eye(10)):
-        M[..., j] = np.moveaxis(_q_apply(der, e[:, None, None, None]), 0, -1)
-    return QMatrixField(g, M)
+
+def q_matrix(frame: TestFieldFrame) -> np.ndarray:
+    """The dense field Q(w*), shape (n, n, n, 10, 10): its ten `_q_columns`
+    at every grid point. A reference only; the certificate applies Q
+    blockwise through `_q_apply` and forms no dense field."""
+    return _q_columns(_frame_derivatives(frame), range(10)).reshape(
+        *frame.grid.shape, 10, 10)
 
 
 def _curl_of(jac: np.ndarray) -> np.ndarray:
@@ -358,14 +340,31 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
     return best
 
 
-def _frame_terms(frame: TestFieldFrame, h: np.ndarray, W: np.ndarray,
+def _holds_previous(frame: TestFieldFrame, prev) -> bool:
+    """Whether `frame` holds the six field objects (all but t) of `prev`, as
+    a family held constant in time does; it then repeats prev's work."""
+    return prev is not None and all(
+        getattr(frame, f.name) is getattr(prev, f.name)
+        for f in fields(TestFieldFrame)[1:])
+
+
+def _frame_work(frames: Sequence[TestFieldFrame]):
+    """Each frame's (derivatives, L(w*)) in turn, from one derivation of the
+    frame or, for a frame holding the previous frame's fields, reused."""
+    for f, prev in zip(frames, [None, *frames]):
+        if not _holds_previous(f, prev):
+            der = _frame_derivatives(f)
+            work = der, _forcing(f, der)
+        yield work
+
+
+def _frame_terms(der: tuple, L: np.ndarray, h: np.ndarray, W: np.ndarray,
                  r: float) -> tuple[float, float]:
     """(integral(W^T Q_r W / 2h) or +inf on positivity loss, integral(W . L))
-    from one derivation of the frame; Q_r adds r to Q's first four slots."""
-    der = _frame_derivatives(frame)
+    from a frame's derivatives and L; Q_r adds r to Q's first four slots."""
     quad = (W * _q_apply(der, W)).sum(0) + r * (W[:4] ** 2).sum(0)
     return (_floored_quotient(quad, h, W, DEFAULT_H_FLOOR),
-            float((W * _forcing(frame, der)).sum(0).mean()))
+            float((W * L).sum(0).mean()))
 
 
 def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
@@ -412,13 +411,14 @@ def _as_target(target) -> float:
     return t
 
 
-def _schur_threshold(Qflat: np.ndarray, t: float) -> np.ndarray:
-    """Exact per-point minimal shift via the 4x4 Schur complement."""
-    A = Qflat[:, :4, :4]
-    C = Qflat[:, :4, 4:]
+def _schur_threshold(Q4: np.ndarray, t: float) -> np.ndarray:
+    """Exact per-point minimal shift via the 4x4 Schur complement, from Q's
+    first four columns (points, 10, 4): A is their rows 0-3 and, Q being
+    symmetric, the upper-right block C the transpose of their rows 4-9."""
+    A = Q4[:, :4]
+    C = Q4[:, 4:].swapaxes(1, 2)
     S = np.einsum("mij,mkj->mik", C, C) / (2.0 - t) - A
-    lam_max = jacobi_eigenvalues(S)[:, -1]
-    return t + lam_max
+    return t + jacobi_eigenvalues(S)[:, -1]
 
 
 def _near_max(th: np.ndarray) -> np.ndarray:
@@ -437,26 +437,29 @@ def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
     The lower-right 6x6 block of Q is 2 I, so the Schur complement gives r
     in closed form: the maximum over all sampled (t, x) of
     target + lambda_max(C C^T / (2 - target) - A), floored at zero, where A
-    is the upper-left 4x4 block and C the upper-right 4x6 block. The value
-    is certified by the full 10x10 Jacobi eigensolver at the pointwise-worst
-    candidates, rounded up by ulp-scaled steps if round-off leaves it just
-    infeasible, so the shifted matrix is positive semidefinite at every
-    sampled point.
+    is the upper-left 4x4 block and C the upper-right 4x6 block, both read
+    from Q's first four columns. The value is certified by the full 10x10
+    Jacobi eigensolver at the pointwise-worst candidates, the only points
+    where the full matrices are formed, rounded up by ulp-scaled steps if
+    round-off leaves it just infeasible, so the shifted matrix is positive
+    semidefinite at every sampled point. A frame holding the previous
+    frame's fields repeats its thresholds and candidates and is skipped.
     """
     if not frames:
         raise FieldDataError("r0 requires at least one frame")
     tval = _as_target(target)
 
     # the near-maximal band of all frames lies inside the union of each
-    # frame's own band, so one frame's Q is held at a time
-    cand_th = np.empty(0)
-    cand_Q = np.empty((0, 10, 10))
-    for f in frames:
-        Qf = q_matrix(f).flat()
-        th = _schur_threshold(Qf, tval)
+    # frame's own band, so one frame's columns are held at a time
+    cand_th, cand_Q = np.empty(0), np.empty((0, 10, 10))
+    for f, prev in zip(frames, [None, *frames]):
+        if _holds_previous(f, prev):
+            continue
+        der = _frame_derivatives(f)
+        th = _schur_threshold(_q_columns(der, range(4)), tval)
         idx = _near_max(th)
         cand_th = np.concatenate([cand_th, th[idx]])
-        cand_Q = np.concatenate([cand_Q, Qf[idx]])
+        cand_Q = np.concatenate([cand_Q, _q_columns(der, range(10), idx)])
         idx = _near_max(cand_th)
         cand_th, cand_Q = cand_th[idx], cand_Q[idx]
 
@@ -533,16 +536,12 @@ class SampleTrajectory:
 
     @classmethod
     def from_dmhd(cls, traj: DmhdTrajectory) -> "SampleTrajectory":
-        g = traj.states[0].grid
-        hs, Bs, Ds, Ps = [], [], [], []
-        for s in traj.states:
-            D, P = s.constitutive_pair
-            hs.append(s.h.values)
-            Bs.append(s.B.values)
-            Ds.append(D)
-            Ps.append(P)
-        return cls(g, np.asarray(traj.times, dtype=float), np.stack(hs),
-                   np.stack(Bs), np.stack(Ds), np.stack(Ps))
+        states = traj.states
+        Ds, Ps = zip(*(s.constitutive_pair for s in states))
+        return cls(states[0].grid, np.asarray(traj.times, dtype=float),
+                   np.stack([s.h.values for s in states]),
+                   np.stack([s.B.values for s in states]),
+                   np.stack(Ds), np.stack(Ps))
 
     def with_momentum_offset(self, delta: float) -> "SampleTrajectory":
         """Corrupted copy with `delta` added to every momentum component."""
@@ -587,8 +586,7 @@ def holder_half_quotient(sol: SampleTrajectory, kmax: int = 2) -> float:
 
 def convex_combination(a: SampleTrajectory, b: SampleTrajectory,
                        alpha: float) -> SampleTrajectory:
-    if len(a) != len(b) or not np.allclose(a.times, b.times):
-        raise FieldDataError("trajectories must share the time axis")
+    _require_shared_times(a.times, b.times, "trajectories")
     w = float(alpha)
     return SampleTrajectory(a.grid, a.times.copy(),
                             w * a.h + (1 - w) * b.h,
@@ -606,12 +604,11 @@ def _modulated_fields(h, B, D, P, frame: TestFieldFrame):
     return U, W
 
 
-def _require_shared_times(sol: SampleTrajectory,
-                          frames: Sequence[TestFieldFrame]) -> None:
-    ftimes = np.array([f.t for f in frames], dtype=float)
-    if len(frames) != len(sol) or not np.allclose(ftimes, sol.times,
-                                                  atol=1e-12):
-        raise FieldDataError("frames and trajectory must share the time axis")
+def _require_shared_times(a: Sequence[float], b: Sequence[float],
+                          what: str) -> None:
+    """Two time axes must agree point by point to 1e-12, absolutely."""
+    if len(a) != len(b) or not np.allclose(a, b, rtol=0.0, atol=1e-12):
+        raise FieldDataError(f"{what} must share the time axis")
 
 
 @dataclass
@@ -649,7 +646,8 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
     inequality. Requires r >= r0 of the frames (recomputed here unless the
     caller supplies a certified value).
     """
-    _require_shared_times(sol, frames)
+    _require_shared_times([f.t for f in frames], sol.times,
+                          "frames and trajectory")
     r0_val = r0(frames) if r0_value is None else float(r0_value)
     if r < r0_val - 1e-12:
         raise FieldDataError(
@@ -659,12 +657,11 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
     lam = np.empty(T)
     q_int = np.empty(T)
     r_int = np.empty(T)
-    for k in range(T):
-        frame = frames[k]
+    for k, (der, L) in enumerate(_frame_work(frames)):
         h = sol.h[k]
-        U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frame)
+        U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frames[k])
         lam[k] = lambda_functional(ScalarField(sol.grid, h), U)
-        quad, lin = _frame_terms(frame, h, W, r)
+        quad, lin = _frame_terms(der, L, h, W, r)
         wt = math.exp(-r * sol.times[k])
         q_int[k], r_int[k] = wt * quad, wt * lin
 
@@ -720,7 +717,8 @@ def identity_residual_check(sol: SampleTrajectory,
     T = len(sol)
     if T < 3:
         raise FieldDataError("identity check needs at least three samples")
-    _require_shared_times(sol, frames)
+    _require_shared_times([f.t for f in frames], sol.times,
+                          "frames and trajectory")
 
     ent = np.empty(T)
     for k in range(T):
@@ -732,7 +730,7 @@ def identity_residual_check(sol: SampleTrajectory,
     lhs = np.empty(T - 2)
     rhs = np.empty(T - 2)
     term_scale = 0.0
-    for k in range(1, T - 1):
+    for k, (der, L) in enumerate(_frame_work(frames[1:-1]), start=1):
         h = sol.h[k]
         B, D, P = sol.B[k], sol.D[k], sol.P[k]
         frame = frames[k]
@@ -747,7 +745,7 @@ def identity_residual_check(sol: SampleTrajectory,
         varphi = P - P_c
 
         _, W = _modulated_fields(h, B, D, P, frame)
-        quad, lin = _frame_terms(frame, h, W, 0.0)
+        quad, lin = _frame_terms(der, L, h, W, 0.0)
         lhs[k - 1] = dent + quad + lin
         term_scale = max(term_scale, abs(dent), abs(quad), abs(lin))
 

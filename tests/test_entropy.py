@@ -59,6 +59,21 @@ def static_frames(base, times):
                            base.v_star, zs, zv) for t in times]
 
 
+def copied_frames(base, times):
+    """Value-equal frames of `static_frames`, each holding its own copies."""
+    g = base.grid
+    return [TestFieldFrame(t, ScalarField(g, base.h_star_inv.values.copy()),
+                           VectorField3(g, base.b_star.values.copy()),
+                           VectorField3(g, base.d_star.values.copy()),
+                           VectorField3(g, base.v_star.values.copy()),
+                           ScalarField.constant(g, 0.0), VectorField3.zero(g))
+            for t in times]
+
+
+def symmetry_defect(Q):
+    return float(np.abs(Q - Q.swapaxes(-1, -2)).max())
+
+
 class TestJacobi:
     def test_matches_dense_solver(self, rng):
         mats = rng.standard_normal((64, 10, 10))
@@ -130,25 +145,24 @@ class TestQMatrix:
         # IEEE equality: every entry is the same float (a zero may differ
         # in sign, which no consumer of Q observes)
         for fr in oracle_frames(n):
-            assert np.array_equal(q_matrix(fr).values, dense_q_oracle(fr))
+            assert np.array_equal(q_matrix(fr), dense_q_oracle(fr))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_blockwise_apply_matches_dense_product(self, n, rng):
         for fr in oracle_frames(n):
             W = rng.standard_normal((10, n, n, n))
             got = entropy._q_apply(entropy._frame_derivatives(fr), W)
-            want = np.einsum("xyzij,jxyz->ixyz", q_matrix(fr).values, W)
+            want = np.einsum("xyzij,jxyz->ixyz", q_matrix(fr), W)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_constant_frame_block_structure(self, grid16):
-        Q = q_matrix(constant_frame(grid16))
-        vals = Q.values
+        vals = q_matrix(constant_frame(grid16))
         assert np.abs(vals[..., :4, :4]).max() == 0.0
         assert np.abs(vals[..., 4:, 4:] - 2.0 * np.eye(6)).max() == 0.0
-        assert Q.symmetry_defect() == 0.0
+        assert symmetry_defect(vals) == 0.0
 
     def test_shear_frame_hand_assembled(self, grid16, rng):
-        Q = q_matrix(shear_frame(grid16)).values
+        Q = q_matrix(shear_frame(grid16))
         ys = grid16.axis_coords
         pts = rng.integers(0, grid16.n, size=(10, 3))
         for i, j, k in pts:
@@ -165,7 +179,7 @@ class TestQMatrix:
     def test_symmetry_on_random_frames(self, grid16, rng):
         for _ in range(3):
             fr = random_frame(grid16, rng, kmax=2, amplitude=0.3)
-            assert q_matrix(fr).symmetry_defect() <= 1e-14
+            assert symmetry_defect(q_matrix(fr)) <= 1e-14
 
 
 class TestR0:
@@ -178,7 +192,7 @@ class TestR0:
 
     def test_shear_frame_matches_dense_scan(self, grid16):
         fast = r0([shear_frame(grid16)])
-        Q = q_matrix(shear_frame(grid16)).flat()
+        Q = q_matrix(shear_frame(grid16)).reshape(-1, 10, 10)
 
         def feasible(r):
             M = Q.copy()
@@ -199,7 +213,7 @@ class TestR0:
     def test_result_certifies_feasibility(self, grid16, rng):
         fr = random_frame(grid16, rng, kmax=2, amplitude=0.4)
         r = r0([fr])
-        Q = q_matrix(fr).flat() + r * SHIFT_SLOTS - np.eye(10)
+        Q = q_matrix(fr).reshape(-1, 10, 10) + r * SHIFT_SLOTS - np.eye(10)
         assert jacobi_min_eigenvalue(Q).min() >= -1e-9
 
     def test_rejects_target_of_two(self, grid16):
@@ -212,7 +226,7 @@ class TestR0:
         evaluated with LAPACK."""
         worst = -math.inf
         for f in frames:
-            Q = q_matrix(f).flat()
+            Q = q_matrix(f).reshape(-1, 10, 10)
             A, C = Q[:, :4, :4], Q[:, :4, 4:]
             S = C @ C.swapaxes(1, 2) / (2.0 - t) - A
             worst = max(worst, t + np.linalg.eigvalsh(S)[:, -1].max())
@@ -235,23 +249,29 @@ class TestR0:
                   for k in range(2)]
         r = r0(frames)
         for f in frames:
-            M = q_matrix(f).flat() + r * SHIFT_SLOTS - np.eye(10)
+            M = (q_matrix(f).reshape(-1, 10, 10) + r * SHIFT_SLOTS
+                 - np.eye(10))
             assert np.linalg.eigvalsh(M)[:, 0].min() >= -1e-12 * (1 + r)
 
     def test_corrupted_fixed_block_raises(self, grid16, rng, monkeypatch):
         import abimhd.entropy as entropy
 
-        honest = entropy.q_matrix
+        honest = entropy._q_apply
 
-        def corrupted(frame):
-            Q = honest(frame)
-            M = Q.values.copy()
-            M[..., 4:, 4:] *= 0.25          # 0.5 I instead of 2 I
-            return entropy.QMatrixField(Q.grid, M)
+        def corrupted(der, W):
+            QW = honest(der, W)
+            QW[4:] -= 1.5 * W[4:]           # 0.5 I instead of 2 I on D, P
+            return QW
 
-        monkeypatch.setattr(entropy, "q_matrix", corrupted)
+        monkeypatch.setattr(entropy, "_q_apply", corrupted)
         with pytest.raises(FieldDataError, match="corrupted"):
             r0([random_frame(grid16, rng, amplitude=0.3)])
+
+    def test_held_family_equals_its_base_frame(self, grid16, rng):
+        base = random_frame(grid16, rng, amplitude=0.3)
+        held = static_frames(base, [0.1 * k for k in range(5)])
+        for target in ("identity", 0.5):
+            assert r0(held, target) == r0([base], target)
 
 
 class TestLOperator:
@@ -506,7 +526,7 @@ class TestDissipativeSlack:
                                              sol.P[k], f)
             wt = math.exp(-r * sol.times[k])
             Ws.append(W)
-            Qs.append(wt * (q_matrix(f).values + r * SHIFT_SLOTS))
+            Qs.append(wt * (q_matrix(f) + r * SHIFT_SLOTS))
             lin.append(wt * float((W * l_operator(f)).sum(0).mean()))
         dense = lambda_tilde(sol.times, sol.h, Ws, Qs, 0.0, sol.times[-1])
         assert rep.lambda_tilde_cum[-1] == pytest.approx(dense, rel=1e-12)
@@ -516,16 +536,55 @@ class TestDissipativeSlack:
     def test_certificate_never_forms_dense_q(self, grid16, monkeypatch):
         s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
                                                    save_every=5)
-        r0v = r0(frames)
 
         def dense(frame):
             raise AssertionError("dense Q formed")
 
         monkeypatch.setattr(entropy, "q_matrix", dense)
+        r0v = r0(frames)
         rep = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
         assert rep.slack_t[0] == 0.0
         chk = identity_residual_check(sol, frames)
         assert chk.lhs.shape == (1,)
+
+    def test_convex_combination_rejects_nudged_times(self, grid16):
+        h = np.ones((3, *grid16.shape))
+        z = np.zeros((3, 3, *grid16.shape))
+        times = np.array([0.0, 1e-3, 2e-3])
+        a = SampleTrajectory(grid16, times, h, z, z, z)
+        b = SampleTrajectory(grid16, times * (1 + 1e-6), h, z, z, z)
+        with pytest.raises(FieldDataError, match="time axis"):
+            convex_combination(a, b, 0.5)
+
+
+class TestHeldFamilies:
+    """Frames holding the previous frame's field objects reuse its work and
+    give the same bytes as value-equal frames that hold their own copies."""
+
+    @pytest.fixture
+    def sol_and_base(self, grid16, rng):
+        h0, B0 = single_mode_pair(grid16)
+        psi = random_vector(grid16, rng, 2, 0.1).values
+        varphi = random_vector(grid16, rng, 2, 0.1).values
+        sol = SampleTrajectory.manufactured(h0, B0, 5e-6, 10, psi, varphi)
+        return sol, random_frame(grid16, rng, 2, 0.2)
+
+    def test_slack_matches_distinct_copies(self, sol_and_base):
+        sol, base = sol_and_base
+        r = r0([base]) + 0.5
+        held = dissipative_slack(sol, static_frames(base, sol.times), r, r)
+        copies = dissipative_slack(sol, copied_frames(base, sol.times), r, r)
+        for name in ("lambda_t", "lambda_tilde_cum", "R_t", "slack_t"):
+            assert (getattr(held, name).tobytes()
+                    == getattr(copies, name).tobytes())
+
+    def test_identity_matches_distinct_copies(self, sol_and_base):
+        sol, base = sol_and_base
+        held = identity_residual_check(sol, static_frames(base, sol.times))
+        copies = identity_residual_check(sol, copied_frames(base, sol.times))
+        assert held.lhs.tobytes() == copies.lhs.tobytes()
+        assert held.rhs.tobytes() == copies.rhs.tobytes()
+        assert held.term_scale == copies.term_scale
 
 
 class TestHolderQuotient:
@@ -557,12 +616,14 @@ class TestIdentity:
         assert np.abs(chk.rhs).max() == 0.0
         assert np.abs(chk.lhs).max() < 1e-6
 
-    @pytest.mark.parametrize("case", ["shifted", "short", "extra"])
+    @pytest.mark.parametrize("case", ["shifted", "nudged", "short", "extra"])
     def test_rejects_frames_off_the_time_axis(self, grid16, case):
         s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
                                                    save_every=5)
         if case == "shifted":
             frames = static_frames(frames[0], sol.times + 1e-3)
+        elif case == "nudged":
+            frames = static_frames(frames[0], sol.times * (1 + 1e-6))
         elif case == "short":
             frames = frames[:-1]
         else:

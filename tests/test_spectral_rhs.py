@@ -8,6 +8,8 @@ round-off on band-limited data and on full-spectrum random data, which also
 fills the Nyquist planes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from abimhd.entropy import (
     dissipative_slack,
     frames_from_dmhd,
     l_operator,
+    r0,
     random_frame,
 )
 from abimhd.fields import (
@@ -383,3 +386,15 @@ def test_entropy_transform_counts(transforms):
     z = np.zeros((1, 3, *g.shape))
     sol = SampleTrajectory(g, np.array([0.0]), h, z, z, z)
     assert transforms(dissipative_slack, sol, [frame], 1.0, 0.5) <= 56
+
+
+def test_held_family_costs_one_frame(transforms):
+    g = GridSpec(16)
+    base = random_frame(g, np.random.default_rng(9), amplitude=0.3)
+    times = 1e-3 * np.arange(5)
+    held = [dataclasses.replace(base, t=t) for t in times]
+    h = np.ones((5, *g.shape))
+    z = np.zeros((5, 3, *g.shape))
+    sol = SampleTrajectory(g, times, h, z, z, z)
+    assert transforms(dissipative_slack, sol, held, 1.0, 0.5) <= 56
+    assert transforms(r0, held) == transforms(r0, [base])
