@@ -10,9 +10,20 @@ symbol 2 pi i k act on its spectrum before the single inverse transform
 `div_sym_masked` for symmetric tensors). Divisions by a density are done in physical space behind a
 positivity guard.
 
+Point evaluation sums the modes exactly, without spreading to a grid (the
+exact counterpart of a type-2 nonuniform FFT). Its phases are separable:
+`_phase_blocks` takes exp(2 pi i k_a x_a) over the distinct |k_a| of each
+axis and multiplies the three factors of every mode in place, EVAL_CHUNK
+points at a time. `eval_at`, `galerkin.ModalScalar.eval` and the point side
+of `galerkin.TrigBasis` all build their phases this way.
+
 Every operation here is a pure function of immutable inputs: field values are
 stored read-only and new arrays are returned, so concurrent use is safe and
-repeated runs are bit-identical.
+repeated runs are bit-identical. The one held state is outside this module:
+`galerkin.TrigBasis` keeps the phase table of the last point set it was
+asked about, keyed on a copy of the points and stored as one tuple, so the
+basis calls at one characteristics stage share it and a concurrent or
+in-place change of points only costs a rebuild.
 """
 
 from __future__ import annotations
@@ -48,8 +59,9 @@ __all__ = [
 
 DEFAULT_H_FLOOR = 1e-8
 
-# points per (points x modes) phase block of `_mode_sum`, the trigonometric
-# sum behind `eval_at` and `galerkin.ModalScalar.eval`
+# points per (points x modes) phase block of `_phase_blocks`, behind
+# `eval_at`, `galerkin.ModalScalar.eval` and the point side of
+# `galerkin.TrigBasis`
 EVAL_CHUNK = 256
 
 # index pairs (i, j) of the six distinct entries of a symmetric 3x3 tensor,
@@ -369,14 +381,47 @@ def _full_modes(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ch.ravel(), kvecs
 
 
+def _phase_blocks(pts: np.ndarray, kvecs: np.ndarray):
+    """Yield (rows, exp(2 pi i k.x)) for the EVAL_CHUNK points `pts[rows]`
+    and every wavevector of `kvecs`, shape (points, modes).
+
+    The phases are separable, exp(2 pi i k.x) = prod_a exp(2 pi i k_a x_a),
+    so a block takes one exponential per point and distinct nonzero |k_a|
+    of each axis: k_a = 0 gives 1, and -|k_a| the conjugate. It gathers the
+    three factors of every mode and multiplies them in place, so at most two
+    (points x modes) blocks are alive at once.
+    """
+    k = np.asarray(kvecs, dtype=float)
+    mags = [np.unique(np.abs(k[k[:, a] != 0, a])) for a in range(3)]
+    axis_of = np.repeat(np.arange(3), [len(m) for m in mags])
+    all_mags = np.concatenate(mags)
+    # column of each mode's factor in [1, exp(2 pi i |k_a| x_a) for every
+    # axis and magnitude, then the conjugates of those]
+    cols, offset = [], 1
+    for ka, m in zip(k.T, mags):
+        col = (offset + np.searchsorted(m, np.abs(ka))
+               + len(all_mags) * (ka < 0))
+        cols.append(np.where(ka == 0, 0, col))
+        offset += len(m)
+    for lo in range(0, pts.shape[0], EVAL_CHUNK):
+        rows = slice(lo, lo + EVAL_CHUNK)
+        chunk = pts[rows]
+        e = np.exp(2j * np.pi * (chunk[:, axis_of] * all_mags))
+        factors = np.concatenate([np.ones((len(chunk), 1)), e, e.conj()],
+                                 axis=1)
+        block = factors[:, cols[0]]
+        block *= factors[:, cols[1]]
+        block *= factors[:, cols[2]]
+        yield rows, block
+
+
 def _mode_sum(pts: np.ndarray, coeffs: np.ndarray,
               kvecs: np.ndarray) -> np.ndarray:
     """Real part of sum_k c_k exp(2 pi i k.x) at each point, formed
     EVAL_CHUNK points at a time so the phase block stays bounded."""
     out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], EVAL_CHUNK):
-        phases = np.exp(2j * np.pi * (pts[lo:lo + EVAL_CHUNK] @ kvecs.T))
-        out[lo:lo + EVAL_CHUNK] = (phases @ coeffs).real
+    for rows, phases in _phase_blocks(pts, kvecs):
+        out[rows] = (phases @ coeffs).real
     return out
 
 
@@ -390,7 +435,8 @@ def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
     Args:
         f: scalar or vector field (its samples define the mode expansion).
         points: array of shape (M, 3) or (3,); they are evaluated
-            EVAL_CHUNK at a time against the full mode matrix.
+            EVAL_CHUNK at a time against every mode of the field, with the
+            phases built from per-axis factor tables (`_phase_blocks`).
 
     Returns:
         (M,) array for a scalar field, (M, 3) for a vector field.

@@ -28,10 +28,11 @@ z -> K[z] over subintervals, with characteristics transport of (h, B) and
 time-quadrature of the sources; kept for small N where it mirrors the
 constructive existence argument). Picard carries (h, B) exactly along the
 characteristics of the Galerkin velocity: each of h and B takes one backward
-RK4 march from the grid to its feet at time 0. h picks up the exponential of
-the accumulated -div v; B follows Cauchy's Lagrangian solution of the
-induction equation, B(t) = Z B0(foot) + c, where the march carries the
-deformation-like matrix Z and a Duhamel term c for curl d. The energy
+RK4 march from the grid to its feet at time 0 (none for a node at time 0
+itself). h picks up the exponential of the accumulated -div v; B follows
+Cauchy's Lagrangian solution of the induction equation,
+B(t) = Z B0(foot) + c, where the march carries the deformation-like matrix
+Z and a Duhamel term c for curl d. The energy
 
     Lambda_n = integral((1 + B^2)/(2h) + eps h (v^2 + d^2)/2)
 
@@ -61,6 +62,7 @@ from .fields import (
     VectorField3,
     _full_modes,
     _mode_sum,
+    _phase_blocks,
     guarded_reciprocal,
 )
 from .stepping import BlowUpError, StepSizeError, march, rk4_step
@@ -159,6 +161,7 @@ class TrigBasis:
                                      rt2 * np.cos(phase)], axis=1)  # (n^3, 2N)
         ksq = (self.kvecs ** 2).sum(1)
         self.lam = np.concatenate([ksq, ksq]) * (2.0 * np.pi) ** 2  # -Lap eigenvalues
+        self._held = None        # (points, _point_table) of the last point set
 
     # -- grid-side operations ------------------------------------------------
 
@@ -183,31 +186,42 @@ class TrigBasis:
 
     # -- point-side evaluation (exact trigonometric sums) ---------------------
 
-    def _angles(self, points: np.ndarray) -> np.ndarray:
-        return 2.0 * np.pi * (np.asarray(points, dtype=float) @ self.kvecs.T)
+    def _point_table(self, points: np.ndarray) -> np.ndarray:
+        """(sqrt 2 sin, sqrt 2 cos) of 2 pi k.x at the points, shape (M, 2N).
+
+        The table of the last point set is held, keyed on a copy of the
+        points, so the calls at one characteristics stage build it once; a
+        caller that changes its array in place gets a new table. The pair is
+        stored as one tuple, so concurrent callers never mix two sets.
+        """
+        pts = np.asarray(points, dtype=float)
+        held = self._held
+        if held is not None and np.array_equal(held[0], pts):
+            return held[1]
+        N = self.basis.N
+        tab = np.empty((pts.shape[0], 2 * N))
+        for rows, phases in _phase_blocks(pts, self.kvecs):
+            tab[rows, :N] = phases.imag
+            tab[rows, N:] = phases.real
+        tab *= math.sqrt(2.0)
+        tab.setflags(write=False)
+        self._held = (pts.copy(), tab)
+        return tab
 
     def eval(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a vector field in X_N at points: (M,3),(3,2N)->(M,3)."""
-        ang = self._angles(points)
-        rt2 = math.sqrt(2.0)
-        tab = np.concatenate([rt2 * np.sin(ang), rt2 * np.cos(ang)], axis=1)
-        return tab @ coeffs.T
+        return self._point_table(points) @ coeffs.T
 
     def eval_jacobian(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Jacobian d_j v_i at points, shape (M, 3, 3)."""
-        ang = self._angles(points)
-        rt2 = math.sqrt(2.0)
-        dsin = rt2 * np.cos(ang)          # d/dangle of the sin table
-        dcos = -rt2 * np.sin(ang)
         N = self.basis.N
-        cs = coeffs[:, :N]
-        cc = coeffs[:, N:]
-        out = np.empty((points.shape[0], 3, 3))
-        for j in range(3):
-            wsin = dsin * (2.0 * np.pi * self.kvecs[:, j])
-            wcos = dcos * (2.0 * np.pi * self.kvecs[:, j])
-            out[:, :, j] = wsin @ cs.T + wcos @ cc.T
-        return out
+        w = 2.0 * np.pi * self.kvecs                          # (N, 3)
+        # d_j sqrt2 sin(2 pi k.x) = w_j sqrt2 cos(2 pi k.x) and
+        # d_j sqrt2 cos(2 pi k.x) = -w_j sqrt2 sin(2 pi k.x)
+        dcoef = np.concatenate([-coeffs[:, N:, None] * w,
+                                coeffs[:, :N, None] * w], axis=1)  # (3, 2N, 3)
+        flat = dcoef.transpose(1, 0, 2).reshape(2 * N, 9)
+        return (self._point_table(points) @ flat).reshape(-1, 3, 3)
 
     def eval_div(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         jac = self.eval_jacobian(points, coeffs)
@@ -362,11 +376,15 @@ def _as_model(tb: TrigBasis, field_like):
 
 def _march(rates, start: float, end: float, y: tuple, dt_flow: float) -> tuple:
     """RK4 march of the characteristic state y = (position, ...) from time
-    `start` to `end` in steps of at most dt_flow.
+    `start` to `end` in steps of at most dt_flow; y itself when the two
+    times coincide.
 
     rates(time, *y) returns the tendencies of y; time rides along as one
     more state component of the shared RK4 step.
     """
+    if end == start:
+        return y
+
     def tendencies(state):
         return (1.0, *rates(*state))
 

@@ -31,8 +31,9 @@ from abimhd.galerkin import (
     transport_B,
     transport_h,
 )
+from abimhd.galerkin import _march
 from abimhd.stepping import StepSizeError, rk4_step
-from conftest import single_mode_pair
+from conftest import naive_trig_eval, single_mode_pair
 
 
 @pytest.fixture
@@ -73,6 +74,128 @@ class TestBasis:
         g = GridSpec(4)
         with pytest.raises(FieldDataError):
             TrigBasis(BasisSpec(20), g)
+
+
+def direct_basis_oracle(kvecs, coeffs, pts):
+    """Value and Jacobian of sum_k c_s sqrt2 sin + c_c sqrt2 cos of 2 pi k.x,
+    from one direct exp(2 pi i k.x) per (point, mode)."""
+    N = len(kvecs)
+    ph = np.exp(2j * np.pi * (pts @ kvecs.T))
+    sin, cos = np.sqrt(2.0) * ph.imag, np.sqrt(2.0) * ph.real
+    cs, cc = coeffs[:, :N], coeffs[:, N:]
+    val = sin @ cs.T + cos @ cc.T
+    w = 2.0 * np.pi * kvecs
+    jac = np.stack([(cos * w[:, j]) @ cs.T - (sin * w[:, j]) @ cc.T
+                    for j in range(3)], axis=2)
+    return val, jac
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestPointEvaluation:
+    """Point-side basis and modal sums against the direct exponentials."""
+
+    @pytest.mark.parametrize("N", [7, 33])
+    def test_basis_matches_direct_formula(self, grid16, rng, N):
+        tb = TrigBasis(BasisSpec(N), grid16)
+        coeffs = rng.standard_normal((3, 2 * N))
+        pts = rng.uniform(-2.0, 3.0, (700, 3))       # off-grid, outside [0,1)
+        val, jac = direct_basis_oracle(tb.kvecs, coeffs, pts)
+        assert relative_error(tb.eval(pts, coeffs), val) < 1e-13
+        assert relative_error(tb.eval_jacobian(pts, coeffs), jac) < 1e-13
+        div_ref = np.trace(jac, axis1=1, axis2=2)
+        assert relative_error(tb.eval_div(pts, coeffs), div_ref) < 1e-13
+        curl_ref = np.stack([jac[:, 2, 1] - jac[:, 1, 2],
+                             jac[:, 0, 2] - jac[:, 2, 0],
+                             jac[:, 1, 0] - jac[:, 0, 1]], axis=1)
+        assert relative_error(tb.eval_curl(pts, coeffs), curl_ref) < 1e-13
+
+    def test_modal_scalar_matches_direct_formula(self, grid16, rng):
+        f = random_band_limited(grid16, rng, kmax=5, amplitude=1.0)
+        modal = ModalScalar.from_field(f)
+        pts = rng.uniform(-1.5, 2.5, (600, 3))
+        ref = (np.exp(2j * np.pi * (pts @ modal.kvecs.T)) @ modal.coeffs).real
+        assert relative_error(modal.eval(pts), ref) < 1e-13
+
+    def test_modal_scalar_non_integer_wavevectors(self, rng):
+        # repeated, zero and negative components exercise the shared factors
+        kvecs = rng.choice([-2.5, -0.75, 0.0, 0.3, 1.0, 2.5], size=(40, 3))
+        coeffs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        modal = ModalScalar(kvecs, coeffs)
+        pts = rng.uniform(-3.0, 3.0, (300, 3))
+        ref = (np.exp(2j * np.pi * (pts @ kvecs.T)) @ coeffs).real
+        assert relative_error(modal.eval(pts), ref) < 1e-13
+
+    def test_eval_at_matches_direct_formula_off_grid(self, rng):
+        g = GridSpec(8)
+        F = random_divergence_free(g, rng, kmax=3, amplitude=1.0)
+        pts = rng.uniform(-2.0, 3.0, (300, 3))
+        ref = np.stack([naive_trig_eval(g, F.values[i], pts)
+                        for i in range(3)], axis=1)
+        assert relative_error(eval_at(F, pts), ref) < 1e-13
+
+
+class TestPointTableMemo:
+    """The held (points, table) pair never serves another point set."""
+
+    def test_points_changed_in_place(self, tb16, rng):
+        coeffs = rng.standard_normal((3, 14))
+        pts = rng.random((50, 3))
+        tb16.eval(pts, coeffs)
+        pts += 0.137
+        val, jac = direct_basis_oracle(tb16.kvecs, coeffs, pts)
+        assert relative_error(tb16.eval(pts, coeffs), val) < 1e-13
+        assert relative_error(tb16.eval_jacobian(pts, coeffs), jac) < 1e-13
+
+    def test_alternating_point_sets(self, tb16, rng):
+        coeffs = rng.standard_normal((3, 14))
+        sets = [rng.random((40, 3)), rng.random((40, 3)), rng.random((30, 3))]
+        refs = [direct_basis_oracle(tb16.kvecs, coeffs, p) for p in sets]
+        for i in (0, 1, 0, 2, 1, 2, 0):
+            assert relative_error(tb16.eval(sets[i], coeffs),
+                                  refs[i][0]) < 1e-13
+            assert relative_error(tb16.eval_jacobian(sets[i], coeffs),
+                                  refs[i][1]) < 1e-13
+
+    def test_threads_get_their_own_points(self, tb16, rng):
+        import sys
+        import threading
+
+        coeffs = rng.standard_normal((3, 14))
+        sets = [rng.random((64, 3)) for _ in range(4)]
+        refs = [direct_basis_oracle(tb16.kvecs, coeffs, p) for p in sets]
+        wrong = []
+
+        def work(i):
+            for _ in range(200):
+                if (relative_error(tb16.eval(sets[i], coeffs),
+                                   refs[i][0]) > 1e-13
+                        or relative_error(tb16.eval_jacobian(sets[i], coeffs),
+                                          refs[i][1]) > 1e-13):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(sets))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_zero_length_march_calls_no_rates(self, rng):
+        def rates(*state):
+            raise AssertionError("a march of length 0 evaluated its rates")
+
+        y = (rng.random((5, 3)), np.zeros(5))
+        assert _march(rates, 0.25, 0.25, y, 1e-3) is y
 
 
 class TestMassOperator:
