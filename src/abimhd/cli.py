@@ -299,7 +299,6 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
         SampleTrajectory,
         dissipative_slack,
         holder_half_quotient,
-        r0,
     )
     from .fields import GridSpec
     from .snapshots import write_csv
@@ -328,8 +327,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     worst = -float("inf")
     rows = []
     for name, frames in families:
-        r0_val = r0(frames)
-        rep = dissipative_slack(sol, frames, r=r0_val, r0_value=r0_val)
+        rep = dissipative_slack(sol, frames)
         rep.write_csv(out / f"entropy_report_{name}.csv")
         worst = max(worst, rep.max_slack())
         rows.append((rep.r_used, rep.r0, rep.max_slack()))
@@ -350,8 +348,6 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
 
 def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
                         quiet: bool) -> int:
-    import numpy as np
-
     from .entropy import (
         SampleTrajectory,
         identity_residual_check,
@@ -375,8 +371,7 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
     chk = identity_residual_check(sol, _held_frames(base, sol.times))
     write_csv(out / "identity_check.csv", ("t", "lhs", "rhs"),
               zip(chk.times, chk.lhs, chk.rhs))
-    scale = max(np.abs(chk.lhs).max(), np.abs(chk.rhs).max(), 1e-300)
-    rel = chk.max_defect() / scale
+    rel = chk.relative_defect()
     if not quiet:
         print(f"identity-check: relative defect {rel:.3e} (tol {rel_tol:g})")
     if rel > rel_tol:

@@ -70,6 +70,7 @@ __all__ = [
 DEFAULT_U_FLOOR = 1e-8
 R0_MAX_CANDIDATES = 4096    # worst points the r0 certificate eigensolves
 R0_ROUND_UPS = 8            # ulp-scaled round-up attempts before giving up
+_NO_CANDIDATES = (np.empty(0), np.empty((0, 10, 10)))
 
 
 @dataclass(frozen=True)
@@ -358,12 +359,15 @@ def _frame_work(frames: Sequence[TestFieldFrame]):
         yield work
 
 
-def _frame_terms(der: tuple, L: np.ndarray, h: np.ndarray, W: np.ndarray,
-                 r: float) -> tuple[float, float]:
-    """(integral(W^T Q_r W / 2h) or +inf on positivity loss, integral(W . L))
-    from a frame's derivatives and L; Q_r adds r to Q's first four slots."""
-    quad = (W * _q_apply(der, W)).sum(0) + r * (W[:4] ** 2).sum(0)
-    return (_floored_quotient(quad, h, W, DEFAULT_H_FLOOR),
+def _frame_terms(sol: SampleTrajectory, k: int, frame: TestFieldFrame,
+                 der: tuple, L: np.ndarray) -> tuple[float, float, float]:
+    """(Lambda, integral(W^T Q W / 2h) or +inf on positivity loss,
+    integral(W . L)) at sample k, from its frame's derivatives and L."""
+    h = sol.h[k]
+    U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frame)
+    quad = (W * _q_apply(der, W)).sum(0)
+    return (lambda_functional(ScalarField(sol.grid, h), U),
+            _floored_quotient(quad, h, W, DEFAULT_H_FLOOR),
             float((W * L).sum(0).mean()))
 
 
@@ -411,13 +415,14 @@ def _as_target(target) -> float:
     return t
 
 
-def _schur_threshold(Q4: np.ndarray, t: float) -> np.ndarray:
+def _schur_threshold(der: tuple, t: float) -> np.ndarray:
     """Exact per-point minimal shift via the 4x4 Schur complement, from Q's
-    first four columns (points, 10, 4): A is their rows 0-3 and, Q being
+    first four columns Q4 (points, 10, 4): A is their rows 0-3 and, Q being
     symmetric, the upper-right block C the transpose of their rows 4-9."""
-    A = Q4[:, :4]
+    Q4 = _q_columns(der, range(4))
     C = Q4[:, 4:].swapaxes(1, 2)
-    S = np.einsum("mij,mkj->mik", C, C) / (2.0 - t) - A
+    S = np.einsum("mij,mkj->mik", C, C) / (2.0 - t) - Q4[:, :4]
+    del Q4, C       # the eigensolve holds S alone
     return t + jacobi_eigenvalues(S)[:, -1]
 
 
@@ -429,6 +434,37 @@ def _near_max(th: np.ndarray) -> np.ndarray:
     if idx.size > R0_MAX_CANDIDATES:
         idx = idx[np.argsort(th[idx])[::-1][:R0_MAX_CANDIDATES]]
     return idx
+
+
+def _fold_candidates(cands: tuple, der: tuple, tval: float) -> tuple:
+    """Fold a frame's near-maximal thresholds and its full Q there into the
+    running candidates: the near-maximal band of all frames lies inside the
+    union of each frame's own band, so one frame's columns are held at once."""
+    th = _schur_threshold(der, tval)
+    idx = _near_max(th)
+    cand_th = np.concatenate([cands[0], th[idx]])
+    cand_Q = np.concatenate([cands[1], _q_columns(der, range(10), idx)])
+    idx = _near_max(cand_th)
+    return cand_th[idx], cand_Q[idx]
+
+
+def _certified_shift(cands: tuple, tval: float) -> float:
+    """The shift from r0's candidates: their largest threshold, floored at
+    zero, certified and rounded up as `r0` describes."""
+    cand_th, cand_Q = cands
+    shift_slots = np.diag([1.0] * 4 + [0.0] * 6)
+    target_eye = tval * np.eye(10)
+    r = max(0.0, float(cand_th.max()))
+    step = 4.0 * np.finfo(float).eps * (1.0 + r + float(np.abs(cand_Q).max()))
+    for _ in range(R0_ROUND_UPS):
+        mats = cand_Q + r * shift_slots - target_eye
+        if jacobi_min_eigenvalue(mats).min() >= 0.0:
+            return float(r)
+        r += step
+        step *= 2.0
+    raise FieldDataError(
+        f"no shift near the closed-form value r={r:g} makes the weight "
+        f"matrix positive semidefinite; Q assembly is corrupted")
 
 
 def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
@@ -444,38 +480,16 @@ def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
     round-off leaves it just infeasible, so the shifted matrix is positive
     semidefinite at every sampled point. A frame holding the previous
     frame's fields repeats its thresholds and candidates and is skipped.
+    `dissipative_slack` certifies the same value from its own pass.
     """
     if not frames:
         raise FieldDataError("r0 requires at least one frame")
     tval = _as_target(target)
-
-    # the near-maximal band of all frames lies inside the union of each
-    # frame's own band, so one frame's columns are held at a time
-    cand_th, cand_Q = np.empty(0), np.empty((0, 10, 10))
+    cands = _NO_CANDIDATES
     for f, prev in zip(frames, [None, *frames]):
-        if _holds_previous(f, prev):
-            continue
-        der = _frame_derivatives(f)
-        th = _schur_threshold(_q_columns(der, range(4)), tval)
-        idx = _near_max(th)
-        cand_th = np.concatenate([cand_th, th[idx]])
-        cand_Q = np.concatenate([cand_Q, _q_columns(der, range(10), idx)])
-        idx = _near_max(cand_th)
-        cand_th, cand_Q = cand_th[idx], cand_Q[idx]
-
-    shift_slots = np.diag([1.0] * 4 + [0.0] * 6)
-    target_eye = tval * np.eye(10)
-    r = max(0.0, float(cand_th.max()))
-    step = 4.0 * np.finfo(float).eps * (1.0 + r + float(np.abs(cand_Q).max()))
-    for _ in range(R0_ROUND_UPS):
-        mats = cand_Q + r * shift_slots - target_eye
-        if jacobi_min_eigenvalue(mats).min() >= 0.0:
-            return float(r)
-        r += step
-        step *= 2.0
-    raise FieldDataError(
-        f"no shift near the closed-form value r={r:g} makes the weight "
-        f"matrix positive semidefinite; Q assembly is corrupted")
+        if not _holds_previous(f, prev):
+            cands = _fold_candidates(cands, _frame_derivatives(f), tval)
+    return _certified_shift(cands, tval)
 
 
 # ----------------------------------------------------------------------
@@ -635,44 +649,41 @@ class EntropyReport:
                   rows, footer)
 
 
-def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame],
-                      r: float, r0_value: float | None = None
+def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame]
                       ) -> EntropyReport:
     """Evaluate the dissipative-solution inequality along a trajectory.
 
-    The slack series is e^{-rt} Lambda(t) + Lambda~(0, t) + R(t) - Lambda(0);
-    it starts at exactly zero, stays below the quadrature floor for genuine
-    solutions, and turns positive when the trajectory violates the
-    inequality. Requires r >= r0 of the frames (recomputed here unless the
-    caller supplies a certified value).
+    The slack series is e^{-rt} Lambda(t) + Lambda~(0, t) + R(t) - Lambda(0)
+    at r = r0 of the frames; it starts at exactly zero, stays below the
+    quadrature floor for genuine solutions, and turns positive when the
+    trajectory violates the inequality. One pass derives each distinct
+    frame once and feeds it both to r0's candidate fold and to the sample
+    terms: the shift enters after the loop, as wherever integral(W^T Q W/2h)
+    is finite, Q_r adds r integral(|W[:4]|^2 / 2h) = r Lambda(t) to it.
     """
     _require_shared_times([f.t for f in frames], sol.times,
                           "frames and trajectory")
-    r0_val = r0(frames) if r0_value is None else float(r0_value)
-    if r < r0_val - 1e-12:
-        raise FieldDataError(
-            f"r={r:g} is below the certified shift r0={r0_val:g}")
+    lam, quad, lin = np.empty((3, len(sol)))
+    cands = _NO_CANDIDATES
+    for k, (f, prev) in enumerate(zip(frames, [None, *frames])):
+        if not _holds_previous(f, prev):
+            work = der = None   # no earlier frame's arrays meet the fold
+            der = _frame_derivatives(f)
+            cands = _fold_candidates(cands, der, 1.0)
+            work = der, _forcing(f, der)
+        lam[k], quad[k], lin[k] = _frame_terms(sol, k, f, *work)
+    r = _certified_shift(cands, 1.0)
 
-    T = len(sol)
-    lam = np.empty(T)
-    q_int = np.empty(T)
-    r_int = np.empty(T)
-    for k, (der, L) in enumerate(_frame_work(frames)):
-        h = sol.h[k]
-        U, W = _modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], frames[k])
-        lam[k] = lambda_functional(ScalarField(sol.grid, h), U)
-        quad, lin = _frame_terms(der, L, h, W, r)
-        wt = math.exp(-r * sol.times[k])
-        q_int[k], r_int[k] = wt * quad, wt * lin
-
+    wt = np.exp(-r * sol.times)
+    q_int = wt * (quad + r * lam if r > 0.0 else quad)   # 0 * inf is nan
+    r_int = wt * lin
     dt_seg = np.diff(sol.times)
     lam_tilde = np.concatenate([[0.0],
                                 np.cumsum(0.5 * dt_seg * (q_int[1:] + q_int[:-1]))])
     R_t = np.concatenate([[0.0],
                           np.cumsum(0.5 * dt_seg * (r_int[1:] + r_int[:-1]))])
-    slack = np.exp(-r * sol.times) * lam + lam_tilde + R_t - lam[0]
-    return EntropyReport(r, r0_val, sol.times.copy(), lam, lam_tilde, R_t,
-                         slack)
+    slack = wt * lam + lam_tilde + R_t - lam[0]
+    return EntropyReport(r, r, sol.times.copy(), lam, lam_tilde, R_t, slack)
 
 
 # ----------------------------------------------------------------------
@@ -744,8 +755,7 @@ def identity_residual_check(sol: SampleTrajectory,
         psi = D - D_c
         varphi = P - P_c
 
-        _, W = _modulated_fields(h, B, D, P, frame)
-        quad, lin = _frame_terms(der, L, h, W, 0.0)
+        _, quad, lin = _frame_terms(sol, k, frame, der, L)
         lhs[k - 1] = dent + quad + lin
         term_scale = max(term_scale, abs(dent), abs(quad), abs(lin))
 

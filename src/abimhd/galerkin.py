@@ -475,6 +475,13 @@ class GalerkinConfig:
             raise FieldDataError(f"eps must lie in (0,1), got {self.eps}")
         if self.l < 1:
             raise FieldDataError(f"hyperviscosity order must be >= 1, got {self.l}")
+        for name in ("dt", "T", "sigma", "picard_tol"):
+            if not getattr(self, name) > 0.0:
+                raise FieldDataError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
+        if self.picard_max_iter < 1:
+            raise FieldDataError(
+                f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
         if self.l < 8:
             logger.warning(
                 "hyperviscosity order l=%d below the analysis regime (l >= 8); "

@@ -229,8 +229,7 @@ def test_criterion_7_weak_strong_stability():
     B0p = VectorField3(g, B0.values
                        + 0.01 * 0.3 * random_divergence_free(g, rng, 2, 1.0).values)
     ptraj = dmhd_run(DmhdState(h0p, B0p), T / n, n, save_every=save)
-    rep = dissipative_slack(SampleTrajectory.from_dmhd(ptraj), frames,
-                            r=r0v, r0_value=r0v)
+    rep = dissipative_slack(SampleTrajectory.from_dmhd(ptraj), frames)
     lam0 = rep.lambda_t[0]
     bound = 1.05 * np.exp(r0v * rep.times) * lam0
     margin = (rep.lambda_t / bound).max()
@@ -255,15 +254,13 @@ def test_criterion_8_dissipative_certificate():
     slacks = []
     for _ in range(5):
         frames = static_frames(random_frame(g, rng, 2, 0.1), sol.times)
-        r0v = r0(frames[:1])
-        rep = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(sol, frames)
         slacks.append(rep.max_slack())
     genuine_ok = max(slacks) <= tol
 
     frames = frames_from_dmhd(traj)
-    r0v = r0(frames)
     bad = sol.with_momentum_offset(0.5)
-    rep_bad = dissipative_slack(bad, frames, r=r0v, r0_value=r0v)
+    rep_bad = dissipative_slack(bad, frames)
     corrupt_ok = rep_bad.max_slack() > 0.0
     ok = genuine_ok and corrupt_ok
     assert report(8, ok,
@@ -397,13 +394,12 @@ def test_criterion_12_convexity():
     traj_a = dmhd_run(s0, T / n, n, save_every=save)
     traj_b = dmhd_run(s0, T / (2 * n), 2 * n, save_every=2 * save)
     frames = frames_from_dmhd(traj_a)
-    r0v = r0(frames)
     sol_a = SampleTrajectory.from_dmhd(traj_a)
     sol_b = SampleTrajectory.from_dmhd(traj_b)
     mid = convex_combination(sol_a, sol_b, 0.5)
-    rep_a = dissipative_slack(sol_a, frames, r=r0v, r0_value=r0v)
-    rep_b = dissipative_slack(sol_b, frames, r=r0v, r0_value=r0v)
-    rep_m = dissipative_slack(mid, frames, r=r0v, r0_value=r0v)
+    rep_a = dissipative_slack(sol_a, frames)
+    rep_b = dissipative_slack(sol_b, frames)
+    rep_m = dissipative_slack(mid, frames)
     gap = (rep_m.slack_t - np.maximum(rep_a.slack_t, rep_b.slack_t)).max()
     ok = gap <= 1e-10
     assert report(12, ok, f"midpoint slack excess {gap:.3e} <= 1e-10")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from abimhd import dmhd, galerkin
+from abimhd import dmhd, entropy, galerkin
 from abimhd.cli import main
 from abimhd.snapshots import read_snapshot
 
@@ -180,6 +180,28 @@ class TestOtherSubcommands:
                      "--quiet"]) == 0
         assert (out / "identity_check.csv").exists()
 
+    def test_identity_check_without_residuals_passes(self, tmp_path):
+        # both sides vanish to round-off here; the defect is judged against
+        # the identity's largest term, as criterion 5 judges it
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 16\n[identity]\nresidual_amp = 0\n")
+        assert main(["identity-check", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--seed", "0", "--quiet"]) == 0
+
+    def test_identity_check_flags_a_defect(self, tmp_path, monkeypatch):
+        genuine = entropy.identity_residual_check
+
+        def broken(sol, frames):
+            chk = genuine(sol, frames)
+            chk.lhs = chk.lhs + 1e-2 * chk.term_scale
+            return chk
+
+        monkeypatch.setattr(entropy, "identity_residual_check", broken)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 16\n[identity]\nresidual_amp = 0\n")
+        assert main(["identity-check", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--seed", "0", "--quiet"]) == 4
+
 
 class TestRepeatRuns:
     def test_solver_runs_bit_identical(self, tmp_path):
@@ -198,6 +220,28 @@ class TestRepeatRuns:
                               for p in sorted(out.iterdir())
                               if p.suffix in (".abim", ".csv")})
             assert len(files[0]) == 3      # diagnostics, initial, final
+            assert files[0] == files[1]
+
+    def test_certificate_runs_bit_identical(self, tmp_path):
+        # two in-process runs of each certificate write identical CSVs
+        # (grid, own section, CSVs written); n = 8 is too coarse for the
+        # identity's 1e-3 tolerance on random_smooth data
+        jobs = {"certify": (8, "[run]\nt_final = 0.002\n"
+                               "[certify]\nrandom_frames = 2\n", 4),
+                "identity-check": (16, "[identity]\nsteps = 6\n", 1)}
+        for sub, (n, extra, count) in jobs.items():
+            cfg = write_cfg(tmp_path / f"{sub}.cfg",
+                            "[scenario]\nname = random_smooth\n"
+                            f"[grid]\nn = {n}\n{extra}")
+            files = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"{sub}-{tag}"
+                assert main([sub, "--config", cfg, "--out", str(out),
+                             "--seed", "11", "--quiet"]) == 0
+                files.append({p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())
+                              if p.suffix == ".csv"})
+            assert len(files[0]) == count
             assert files[0] == files[1]
 
     def test_galerkin_runs_bit_identical(self, tmp_path):

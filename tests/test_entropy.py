@@ -444,35 +444,26 @@ class TestDissipativeSlack:
         traj = dmhd_run(s0, 1e-4, 4)
         sol = SampleTrajectory.from_dmhd(traj)
         frames = static_frames(constant_frame(grid16), traj.times)
-        rep = dissipative_slack(sol, frames, r=r0(frames))
+        rep = dissipative_slack(sol, frames)
         assert np.abs(rep.slack_t).max() < 1e-14
         assert rep.slack_t[0] == 0.0
 
     def test_solution_certifies_itself(self, grid16):
         s0, traj, sol, frames = make_solution_pack(grid16)
-        rep = dissipative_slack(sol, frames, r=r0(frames))
+        rep = dissipative_slack(sol, frames)
         assert rep.slack_t[0] == 0.0
         assert rep.max_slack() <= 1e-3 * energy(s0)
 
     def test_corrupted_momentum_flagged(self, grid16):
         s0, traj, sol, frames = make_solution_pack(grid16)
-        r0v = r0(frames)
         bad = sol.with_momentum_offset(0.1)
-        rep = dissipative_slack(bad, frames, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(bad, frames)
         assert rep.max_slack() > 0.0
-
-    def test_rejects_r_below_r0(self, grid16):
-        s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
-                                                   save_every=5)
-        r0v = r0(frames)
-        with pytest.raises(FieldDataError, match="below"):
-            dissipative_slack(sol, frames, r=r0v * 0.5)
 
     def test_report_csv(self, grid16, tmp_path):
         s0, traj, sol, frames = make_solution_pack(grid16, n_steps=10,
                                                    save_every=5)
-        r0v = r0(frames)
-        rep = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(sol, frames)
         path = tmp_path / "report.csv"
         rep.write_csv(path)
         lines = path.read_text().splitlines()
@@ -493,7 +484,7 @@ class TestDissipativeSlack:
         ptraj = dmhd_run(DmhdState(h0p, B0p),
                          (traj.times[-1]) / n_steps, n_steps, save_every=6)
         psol = SampleTrajectory.from_dmhd(ptraj)
-        rep = dissipative_slack(psol, frames, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(psol, frames)
         lam0 = rep.lambda_t[0]
         assert lam0 > 0
         bound = 1.05 * np.exp(r0v * rep.times) * lam0
@@ -501,14 +492,13 @@ class TestDissipativeSlack:
 
     def test_convexity_of_slack(self, grid16):
         s0, traj, sol, frames = make_solution_pack(grid16)
-        r0v = r0(frames)
         dt = (traj.times[-1]) / 60
         traj_b = dmhd_run(s0, dt / 2, 120, save_every=12)
         sol_b = SampleTrajectory.from_dmhd(traj_b)
         mid = convex_combination(sol, sol_b, 0.5)
-        rep_a = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
-        rep_b = dissipative_slack(sol_b, frames, r=r0v, r0_value=r0v)
-        rep_m = dissipative_slack(mid, frames, r=r0v, r0_value=r0v)
+        rep_a = dissipative_slack(sol, frames)
+        rep_b = dissipative_slack(sol_b, frames)
+        rep_m = dissipative_slack(mid, frames)
         worst = np.maximum(rep_a.slack_t, rep_b.slack_t)
         assert np.all(rep_m.slack_t <= worst + 1e-10)
 
@@ -518,8 +508,9 @@ class TestDissipativeSlack:
                                               save_every=5)
         frames = static_frames(random_frame(grid16, rng, amplitude=0.3),
                                sol.times)
-        r = r0(frames) + 0.5
-        rep = dissipative_slack(sol, frames, r=r, r0_value=r)
+        r = r0(frames)
+        assert r > 0
+        rep = dissipative_slack(sol, frames)
         Ws, Qs, lin = [], [], []
         for k, f in enumerate(frames):
             _, W = entropy._modulated_fields(sol.h[k], sol.B[k], sol.D[k],
@@ -541,8 +532,7 @@ class TestDissipativeSlack:
             raise AssertionError("dense Q formed")
 
         monkeypatch.setattr(entropy, "q_matrix", dense)
-        r0v = r0(frames)
-        rep = dissipative_slack(sol, frames, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(sol, frames)
         assert rep.slack_t[0] == 0.0
         chk = identity_residual_check(sol, frames)
         assert chk.lhs.shape == (1,)
@@ -555,6 +545,58 @@ class TestDissipativeSlack:
         b = SampleTrajectory(grid16, times * (1 + 1e-6), h, z, z, z)
         with pytest.raises(FieldDataError, match="time axis"):
             convex_combination(a, b, 0.5)
+
+
+def two_call_slack(sol, frames, r):
+    """(Lambda, Lambda~, R, slack) as formed before r0 came from the slack's
+    own pass: Q_r = Q + r on the first four slots, applied per sample."""
+    T = len(sol)
+    lam, q_int, r_int = np.empty(T), np.empty(T), np.empty(T)
+    for k, f in enumerate(frames):
+        h = sol.h[k]
+        U, W = entropy._modulated_fields(h, sol.B[k], sol.D[k], sol.P[k], f)
+        lam[k] = lambda_functional(ScalarField(sol.grid, h), U)
+        der = entropy._frame_derivatives(f)
+        quad = (W * entropy._q_apply(der, W)).sum(0) + r * (W[:4] ** 2).sum(0)
+        wt = math.exp(-r * sol.times[k])
+        q_int[k] = wt * entropy._floored_quotient(quad, h, W,
+                                                  entropy.DEFAULT_H_FLOOR)
+        r_int[k] = wt * float((W * l_operator(f)).sum(0).mean())
+    seg = np.diff(sol.times)
+    lam_tilde = np.concatenate([[0.0], np.cumsum(0.5 * seg * (q_int[1:] + q_int[:-1]))])
+    R = np.concatenate([[0.0], np.cumsum(0.5 * seg * (r_int[1:] + r_int[:-1]))])
+    return lam, lam_tilde, R, np.exp(-r * sol.times) * lam + lam_tilde + R - lam[0]
+
+
+class TestOnePass:
+    """dissipative_slack certifies r0 from the derivations it takes itself."""
+
+    @pytest.fixture
+    def sol_and_families(self, grid16, rng):
+        _, _, sol, frames = make_solution_pack(grid16, n_steps=20,
+                                               save_every=5)
+        held = static_frames(random_frame(grid16, rng, amplitude=0.3),
+                             sol.times)
+        return sol, {"solution": frames, "held": held,
+                     "mixed": frames[:2] + held[2:]}
+
+    def test_r0_is_the_standalone_value(self, sol_and_families):
+        sol, families = sol_and_families
+        for name, frames in families.items():
+            rep = dissipative_slack(sol, frames)
+            assert rep.r0 == r0(frames), name
+            assert rep.r_used == rep.r0
+
+    def test_matches_two_call_formula(self, sol_and_families):
+        sol, families = sol_and_families
+        bad = sol.with_momentum_offset(0.1)
+        for name, frames in families.items():
+            r = r0(frames)
+            assert r > 0
+            rep = dissipative_slack(bad, frames)
+            got = (rep.lambda_t, rep.lambda_tilde_cum, rep.R_t, rep.slack_t)
+            for a, b in zip(got, two_call_slack(bad, frames, r)):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
 
 
 class TestHeldFamilies:
@@ -571,9 +613,9 @@ class TestHeldFamilies:
 
     def test_slack_matches_distinct_copies(self, sol_and_base):
         sol, base = sol_and_base
-        r = r0([base]) + 0.5
-        held = dissipative_slack(sol, static_frames(base, sol.times), r, r)
-        copies = dissipative_slack(sol, copied_frames(base, sol.times), r, r)
+        assert r0([base]) > 0
+        held = dissipative_slack(sol, static_frames(base, sol.times))
+        copies = dissipative_slack(sol, copied_frames(base, sol.times))
         for name in ("lambda_t", "lambda_tilde_cum", "R_t", "slack_t"):
             assert (getattr(held, name).tobytes()
                     == getattr(copies, name).tobytes())
@@ -683,7 +725,7 @@ class TestIdentity:
                 VectorField3(g, d_star), VectorField3(g, v_star),
                 ScalarField(g, dtau), VectorField3(g, dbs)))
         r0v = r0(built)
-        rep = dissipative_slack(sol, built, r=r0v, r0_value=r0v)
+        rep = dissipative_slack(sol, built)
         # expected slack: cumulative exp-weighted squared residuals
         res_sq = np.array([
             ((psi ** 2).sum(0) + (varphi ** 2).sum(0)).mean()

@@ -560,6 +560,16 @@ class TestGalerkinRun:
         with pytest.raises(StepSizeError):
             galerkin_run(h0, B0, zero, zero, cfg)
 
+    @pytest.mark.parametrize("bad", [
+        {"sigma": 0.0}, {"sigma": -1e-4}, {"dt": 0.0}, {"T": -1.0},
+        {"picard_tol": 0.0}, {"picard_max_iter": 0}])
+    def test_rejects_parameters_that_cannot_run(self, bad):
+        # sigma <= 0 never ends a Picard subinterval, dt = 0 divides by
+        # zero, T < 0 ran one step and picard_max_iter = 0 halved sigma
+        # twenty times before a misleading blow-up
+        with pytest.raises(FieldDataError, match=next(iter(bad))):
+            GalerkinConfig(N=7, eps=0.1, l=1, **bad)
+
     def test_low_order_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="abimhd.galerkin"):
             GalerkinConfig(N=3, eps=0.1, l=1)

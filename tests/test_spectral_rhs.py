@@ -385,7 +385,7 @@ def test_entropy_transform_counts(transforms):
     h = np.ones((1, *g.shape))
     z = np.zeros((1, 3, *g.shape))
     sol = SampleTrajectory(g, np.array([0.0]), h, z, z, z)
-    assert transforms(dissipative_slack, sol, [frame], 1.0, 0.5) <= 56
+    assert transforms(dissipative_slack, sol, [frame]) <= 56
 
 
 def test_held_family_costs_one_frame(transforms):
@@ -396,5 +396,18 @@ def test_held_family_costs_one_frame(transforms):
     h = np.ones((5, *g.shape))
     z = np.zeros((5, 3, *g.shape))
     sol = SampleTrajectory(g, times, h, z, z, z)
-    assert transforms(dissipative_slack, sol, held, 1.0, 0.5) <= 56
+    assert transforms(dissipative_slack, sol, held) <= 56
     assert transforms(r0, held) == transforms(r0, [base])
+
+
+def test_slack_derives_each_distinct_frame_once(transforms):
+    # r0 comes from the slack's own derivations; a separate r0 call would
+    # differentiate each of the three frames a second time (3 x 84)
+    g = GridSpec(16)
+    rng = np.random.default_rng(9)
+    times = 1e-3 * np.arange(3)
+    frames = [random_frame(g, rng, t=t, amplitude=0.3) for t in times]
+    h = np.ones((3, *g.shape))
+    z = np.zeros((3, 3, *g.shape))
+    sol = SampleTrajectory(g, times, h, z, z, z)
+    assert transforms(dissipative_slack, sol, frames) <= 3 * 56
