@@ -357,6 +357,11 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
     from .snapshots import write_csv
 
     grid = GridSpec(cfg.get_int("grid.n", 16, minimum=4, even=True))
+    kmax = 2                  # band of the frame and the residuals psi, phi
+    if grid.n // 3 < 2 * kmax:            # products pass the 2/3 cutoff
+        raise ConfigError(
+            f"grid.n = {grid.n} is too coarse for identity-check: its kmax = "
+            f"{kmax} products need n // 3 >= {2 * kmax}, so n >= {6 * kmax}")
     h0, B0 = _scenario_pair(cfg, grid, rng)
     dt = cfg.get_float("identity.dt", 5e-6, exclusive_min=0.0)
     n_steps = cfg.get_int("identity.steps", 10, minimum=3)
@@ -364,10 +369,10 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
     frame_amp = cfg.get_float("identity.frame_amp", 0.2)
     rel_tol = cfg.get_float("identity.rel_tol", 1e-3, exclusive_min=0.0)
 
-    psi = random_vector(grid, rng, 2, amp).values
-    varphi = random_vector(grid, rng, 2, amp).values
+    psi = random_vector(grid, rng, kmax, amp).values
+    varphi = random_vector(grid, rng, kmax, amp).values
     sol = SampleTrajectory.manufactured(h0, B0, dt, n_steps, psi, varphi)
-    base = random_frame(grid, rng, kmax=2, amplitude=frame_amp)
+    base = random_frame(grid, rng, kmax=kmax, amplitude=frame_amp)
     chk = identity_residual_check(sol, _held_frames(base, sol.times))
     write_csv(out / "identity_check.csv", ("t", "lhs", "rhs"),
               zip(chk.times, chk.lhs, chk.rhs))

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .abi import cross3
 from .dmhd import _constitutive_spectra
@@ -238,18 +237,6 @@ class TrigBasis:
 # Weighted mass operator.
 # ----------------------------------------------------------------------
 
-def _gram_cho(tb: TrigBasis, rho: np.ndarray):
-    if rho.min() <= 0.0:
-        raise PositivityError(
-            f"mass operator needs rho > 0, got min {rho.min():g}")
-    G = tb.gram(rho)
-    try:
-        return cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise PositivityError(
-            f"weighted Gram factorization failed (loss of positivity): {exc}")
-
-
 def mass_apply(tb: TrigBasis, rho: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Momentum (dual) coefficients <rho v, basis> of v with coefficients."""
     G = tb.gram(rho)
@@ -257,9 +244,22 @@ def mass_apply(tb: TrigBasis, rho: np.ndarray, coeffs: np.ndarray) -> np.ndarray
 
 
 def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Invert the weighted Gram operator componentwise (SPD Cholesky)."""
-    cho = _gram_cho(tb, rho)
-    return cho_solve(cho, np.atleast_2d(chi).T).T.reshape(chi.shape)
+    """Invert the weighted Gram operator on every coefficient set stacked on
+    chi's leading axes, through one Cholesky factor L (L, then L^T)."""
+    n_fun = tb.basis.num_functions
+    if chi.shape[-1] != n_fun:
+        raise FieldDataError(
+            f"coefficients need a last axis of {n_fun}, got shape {chi.shape}")
+    if rho.min() <= 0.0:
+        raise PositivityError(
+            f"mass operator needs rho > 0, got min {rho.min():g}")
+    try:
+        L = np.linalg.cholesky(tb.gram(rho))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
+        raise PositivityError(
+            f"weighted Gram factorization failed (loss of positivity): {exc}")
+    cols = np.linalg.solve(L.T, np.linalg.solve(L, chi.reshape(-1, n_fun).T))
+    return cols.T.reshape(chi.shape)
 
 
 # ----------------------------------------------------------------------
@@ -537,9 +537,7 @@ def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig):
     """MoL tendencies of (h, B, chi_d, chi_v): 34 forward, 22 inverse
     transforms."""
     h, B, chi_d, chi_v = y
-    cho = _gram_cho(tb, h)
-    cd = cho_solve(cho, chi_d.T).T
-    cv = cho_solve(cho, chi_v.T).T
+    cd, cv = mass_solve(tb, h, np.stack([chi_d, chi_v]))
     d = tb.synthesize(cd)
     v = tb.synthesize(cv)
 
@@ -560,14 +558,14 @@ def galerkin_rhs(state: GalerkinState, tb: TrigBasis,
     that dual evolution.
     """
     g = state.h.grid
-    chi_d = mass_apply(tb, state.h.values, state.d_coeffs)
-    chi_v = mass_apply(tb, state.h.values, state.v_coeffs)
+    chi_d, chi_v = mass_apply(tb, state.h.values,
+                              np.stack([state.d_coeffs, state.v_coeffs]))
     dh, dB, s_d, s_v = _galerkin_rhs_arrays(
         g, tb, (state.h.values, state.B.values, chi_d, chi_v), cfg)
     Gdot = tb.gram(dh)
-    cho = _gram_cho(tb, state.h.values)
-    cd_dot = cho_solve(cho, (s_d - state.d_coeffs @ Gdot.T).T).T
-    cv_dot = cho_solve(cho, (s_v - state.v_coeffs @ Gdot.T).T).T
+    cd_dot, cv_dot = mass_solve(
+        tb, state.h.values, np.stack([s_d - state.d_coeffs @ Gdot.T,
+                                      s_v - state.v_coeffs @ Gdot.T]))
     return (ScalarField(g, dh), VectorField3(g, dB), cd_dot, cv_dot)
 
 
@@ -619,9 +617,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     def observe(t, y):
         """The primal state and its energy row, from one Gram factorization."""
         h, B, xd, xv = y
-        cho = _gram_cho(tb, h)
-        cd = cho_solve(cho, xd.T).T
-        cv = cho_solve(cho, xv.T).T
+        cd, cv = mass_solve(tb, h, np.stack([xd, xv]))
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
                                            cfg.eps, cfg.l)
         state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)
@@ -688,9 +684,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
             dt_seg = quad_times[i] - quad_times[i - 1]
             chi_d = chi_d + 0.5 * dt_seg * (s_d[i - 1] + s_d[i])
             chi_v = chi_v + 0.5 * dt_seg * (s_v[i - 1] + s_v[i])
-        cho = _gram_cho(tb, hs[i])
-        new_coeffs[i, 0] = cho_solve(cho, chi_d.T).T
-        new_coeffs[i, 1] = cho_solve(cho, chi_v.T).T
+        new_coeffs[i] = mass_solve(tb, hs[i], np.stack([chi_d, chi_v]))
     return (CoefficientTrajectory(np.asarray(quad_times), new_coeffs),
             hs, Bs)
 
@@ -729,8 +723,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     t_base = 0.0
     sigma = cfg.sigma
     halvings = 0
-    cd0 = mass_solve(tb, h_cur.values, chi_d)
-    cv0 = mass_solve(tb, h_cur.values, chi_v)
+    cd0, cv0 = mass_solve(tb, h_cur.values, np.stack([chi_d, chi_v]))
     record(0.0, h_cur.values, B_cur.values, cd0, cv0, chi_d, chi_v)
 
     while t_base < cfg.T - 1e-14:
@@ -770,16 +763,12 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
         # accept the subinterval; record interior samples and restart data
         for i, t in enumerate(quad_times[1:], start=1):
-            cd_i = z.coeffs[i, 0]
-            cv_i = z.coeffs[i, 1]
-            xd_i = mass_apply(tb, hs[i], cd_i)
-            xv_i = mass_apply(tb, hs[i], cv_i)
+            cd_i, cv_i = z.coeffs[i]
+            xd_i, xv_i = mass_apply(tb, hs[i], z.coeffs[i])
             record(t_base + t, hs[i], Bs[i], cd_i, cv_i, xd_i, xv_i)
         h_cur = ScalarField(g, hs[-1])
         B_cur = VectorField3(g, Bs[-1])
-        cd0 = z.coeffs[-1, 0]
-        cv0 = z.coeffs[-1, 1]
-        chi_d = mass_apply(tb, hs[-1], cd0)
-        chi_v = mass_apply(tb, hs[-1], cv0)
+        cd0, cv0 = z.coeffs[-1]
+        chi_d, chi_v = mass_apply(tb, hs[-1], z.coeffs[-1])
         t_base += sigma_eff
     return GalerkinTrajectory(times, states, diags)

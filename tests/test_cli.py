@@ -180,6 +180,19 @@ class TestOtherSubcommands:
                      "--quiet"]) == 0
         assert (out / "identity_check.csv").exists()
 
+    @pytest.mark.parametrize("n, code", [(8, 2), (12, 0), (16, 0)])
+    def test_identity_check_refuses_grids_below_its_band(self, tmp_path, n,
+                                                        code):
+        # the kmax = 2 products pass the 2/3 cutoff below n = 12; at n = 8
+        # and 10 random_smooth read defects of 3.6e-3 and 1.4e-3 (tol 1e-3)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[scenario]\nname = random_smooth\n"
+                        f"[grid]\nn = {n}\n[identity]\nsteps = 6\n")
+        out = tmp_path / "o"
+        assert main(["identity-check", "--config", cfg, "--out", str(out),
+                     "--seed", "11", "--quiet"]) == code
+        assert (out / "identity_check.csv").exists() == (code == 0)
+
     def test_identity_check_without_residuals_passes(self, tmp_path):
         # both sides vanish to round-off here; the defect is judged against
         # the identity's largest term, as criterion 5 judges it

@@ -7,6 +7,7 @@ from abimhd.dmhd import DmhdState, _constitutive_arrays, dmhd_cfl_dt, dmhd_run
 from abimhd.fields import (
     FieldDataError,
     GridSpec,
+    PositivityError,
     ScalarField,
     VectorField3,
     eval_at,
@@ -228,8 +229,31 @@ class TestMassOperator:
 
     def test_rejects_nonpositive_density(self, tb16, grid16):
         rho = np.zeros(grid16.shape)
-        with pytest.raises(Exception):
+        with pytest.raises(PositivityError):
             mass_solve(tb16, rho, np.zeros((3, 14)))
+
+    @pytest.mark.parametrize("shape", [(3, 15), (14, 3)])
+    def test_rejects_coefficients_of_the_wrong_shape(self, tb16, grid16,
+                                                     shape):
+        # (14, 3) has 2N * 3 entries, which a flat regrouping would accept
+        with pytest.raises(FieldDataError):
+            mass_solve(tb16, np.ones(grid16.shape), np.zeros(shape))
+
+    @pytest.mark.parametrize("N", [7, 33])
+    def test_stacked_solve_matches_separate_solves(self, grid16, rng, N):
+        tb = TrigBasis(BasisSpec(N), grid16)
+        rho = 1.0 + 0.4 * random_band_limited(grid16, rng, 2, 1.0).values
+        chi = rng.standard_normal((2, 3, 2 * N))
+        stacked = mass_solve(tb, rho, chi)
+        separate = np.stack([mass_solve(tb, rho, chi[0]),
+                             mass_solve(tb, rho, chi[1])])
+        oracle = np.linalg.solve(tb.gram(rho), chi.reshape(6, 2 * N).T)
+        oracle = oracle.T.reshape(chi.shape)
+        scale = np.abs(oracle).max()
+        assert stacked.shape == chi.shape
+        assert np.abs(stacked - separate).max() <= 1e-13 * scale
+        assert np.abs(stacked - oracle).max() <= 1e-13 * scale
+        assert np.abs(separate - oracle).max() <= 1e-13 * scale
 
     def test_inverse_lipschitz_in_density(self, tb16, grid16, rng):
         # || M^-1[rho1] - M^-1[rho2] || should scale at most linearly with
