@@ -1,67 +1,15 @@
-"""Cyclic Jacobi eigenvalues for batched small symmetric matrices.
-
-Deterministic (fixed rotation order, no pivot search), vectorized over the
-batch axis, converging when every off-diagonal entry is at or below the off
-tolerance. Intended for the 10x10 entropy-weight matrices and their 4x4
-Schur complements, where a fixed-size dense routine beats a general solver.
-"""
-
-from __future__ import annotations
+"""The certificate's batched symmetric eigenvalues, on LAPACK. Kept only for
+the two names the benchmark tracer binds; `entropy` calls through them, and
+this module folds into it once the tracer no longer binds them."""
 
 import numpy as np
 
-__all__ = ["jacobi_eigenvalues", "jacobi_min_eigenvalue"]
+
+def jacobi_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (M, d) of symmetric mats (M, d, d) or (d, d)."""
+    A = np.asarray(mats, dtype=np.float64)
+    return np.linalg.eigvalsh(A[None] if A.ndim == 2 else A)
 
 
-def _rotate(A: np.ndarray, p: int, q: int, c: np.ndarray, s: np.ndarray) -> None:
-    colp = A[:, :, p].copy()
-    colq = A[:, :, q].copy()
-    A[:, :, p] = c[:, None] * colp - s[:, None] * colq
-    A[:, :, q] = s[:, None] * colp + c[:, None] * colq
-    rowp = A[:, p, :].copy()
-    rowq = A[:, q, :].copy()
-    A[:, p, :] = c[:, None] * rowp - s[:, None] * rowq
-    A[:, q, :] = s[:, None] * rowp + c[:, None] * rowq
-
-
-def jacobi_eigenvalues(mats: np.ndarray, off_tol: float = 1e-13,
-                       max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a batch of symmetric matrices, shape (M, d) ascending.
-
-    Args:
-        mats: array of shape (M, d, d); symmetry is assumed, not checked.
-        off_tol: sweep until max |off-diagonal| <= off_tol (absolute).
-        max_sweeps: safety bound; quadratic convergence makes ~10 typical.
-    """
-    A = np.array(mats, dtype=np.float64)
-    if A.ndim == 2:
-        A = A[None]
-    m, d, _ = A.shape
-    if m == 0:
-        return np.empty((0, d))
-    iu = np.triu_indices(d, k=1)
-    for _ in range(max_sweeps):
-        off = np.abs(A[:, iu[0], iu[1]]).max()
-        if off <= off_tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[:, p, q]
-                active = np.abs(apq) > off_tol * 1e-2
-                if not active.any():
-                    continue
-                denom = np.where(active, apq, 1.0)
-                theta = (A[:, q, q] - A[:, p, p]) / (2.0 * denom)
-                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta ** 2 + 1.0))
-                t = np.where(theta == 0.0, 1.0, t)  # theta=0 -> 45 degree rotation
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(t ** 2 + 1.0)
-                s = t * c
-                _rotate(A, p, q, c, s)
-    diag = A[:, np.arange(d), np.arange(d)]
-    diag.sort(axis=1)
-    return diag
-
-
-def jacobi_min_eigenvalue(mats: np.ndarray, off_tol: float = 1e-13) -> np.ndarray:
-    return jacobi_eigenvalues(mats, off_tol)[:, 0]
+def jacobi_min_eigenvalue(mats: np.ndarray) -> np.ndarray:
+    return jacobi_eigenvalues(mats)[:, 0]

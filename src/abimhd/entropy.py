@@ -474,9 +474,9 @@ def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
     in closed form: the maximum over all sampled (t, x) of
     target + lambda_max(C C^T / (2 - target) - A), floored at zero, where A
     is the upper-left 4x4 block and C the upper-right 4x6 block, both read
-    from Q's first four columns. The value is certified by the full 10x10
-    Jacobi eigensolver at the pointwise-worst candidates, the only points
-    where the full matrices are formed, rounded up by ulp-scaled steps if
+    from Q's first four columns. The value is certified by LAPACK's
+    `eigvalsh` on the full 10x10 matrices at the pointwise-worst candidates,
+    the only points where they are formed, rounded up by ulp-scaled steps if
     round-off leaves it just infeasible, so the shifted matrix is positive
     semidefinite at every sampled point. A frame holding the previous
     frame's fields repeats its thresholds and candidates and is skipped.

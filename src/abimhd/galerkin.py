@@ -533,11 +533,13 @@ def _projected_source(tb: TrigBasis, cfg: GalerkinConfig, grid_source,
     return tb.project(grid_source) - tb.lam ** cfg.l * c - chi / cfg.eps
 
 
-def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig):
-    """MoL tendencies of (h, B, chi_d, chi_v): 34 forward, 22 inverse
-    transforms."""
+def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig,
+                         coeffs=None):
+    """MoL tendencies of (h, B, chi_d, chi_v), solving for the primal
+    coefficients (cd, cv) unless given: 34 forward, 22 inverse transforms."""
     h, B, chi_d, chi_v = y
-    cd, cv = mass_solve(tb, h, np.stack([chi_d, chi_v]))
+    cd, cv = (mass_solve(tb, h, np.stack([chi_d, chi_v])) if coeffs is None
+              else coeffs)
     d = tb.synthesize(cd)
     v = tb.synthesize(cv)
 
@@ -561,7 +563,8 @@ def galerkin_rhs(state: GalerkinState, tb: TrigBasis,
     chi_d, chi_v = mass_apply(tb, state.h.values,
                               np.stack([state.d_coeffs, state.v_coeffs]))
     dh, dB, s_d, s_v = _galerkin_rhs_arrays(
-        g, tb, (state.h.values, state.B.values, chi_d, chi_v), cfg)
+        g, tb, (state.h.values, state.B.values, chi_d, chi_v), cfg,
+        (state.d_coeffs, state.v_coeffs))
     Gdot = tb.gram(dh)
     cd_dot, cv_dot = mass_solve(
         tb, state.h.values, np.stack([s_d - state.d_coeffs @ Gdot.T,
@@ -604,8 +607,11 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     chi_d = tb.project(D0.values)
     chi_v = tb.project(P0.values)
 
-    def rhs(y):
-        return _galerkin_rhs_arrays(g, tb, y, cfg)
+    observed = [None, None]     # the last observed state and its (cd, cv)
+
+    def rhs(y):     # a step's first stage is the observed state itself
+        return _galerkin_rhs_arrays(
+            g, tb, y, cfg, observed[1] if y is observed[0] else None)
 
     def galerkin_step(y, dt):
         y = rk4_step(y, dt, rhs)
@@ -618,6 +624,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         """The primal state and its energy row, from one Gram factorization."""
         h, B, xd, xv = y
         cd, cv = mass_solve(tb, h, np.stack([xd, xv]))
+        observed[:] = y, (cd, cv)
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
                                            cfg.eps, cfg.l)
         state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)

@@ -2,7 +2,7 @@
 
 Each test starts fresh interpreters, so that neither the modules pytest has
 already imported nor a BLAS pool it has already started can hide a
-difference; the three processes below are all this file starts.
+difference; the five processes below are all this file starts.
 """
 
 import os
@@ -19,6 +19,8 @@ GALERKIN = ("[scenario]\nname = random_smooth\n[grid]\nn = {n}\n"
             "sigma = 0.0004\n")
 DMHD = ("[scenario]\nname = random_smooth\n[grid]\nn = 16\n"
         "[run]\nt_final = 0.0005\n")
+CERTIFY = ("[scenario]\nname = random_smooth\n[grid]\nn = 8\n"
+           "[run]\nt_final = 0.002\n[certify]\nrandom_frames = 2\n")
 
 
 def run_jobs(tmp_path, tag, jobs, blas_threads=None):
@@ -63,4 +65,15 @@ def test_outputs_identical_across_blas_threads(tmp_path):
         files.append([{p.name: p.read_bytes() for p in sorted(out.iterdir())}
                       for out in outs])
     assert [len(f) for f in files[0]] == [4, 4]   # manifest and three outputs
+    assert files[0] == files[1]
+
+
+def test_certificate_identical_across_blas_threads(tmp_path):
+    # r0's eigensolves run in LAPACK, whose threaded paths must not move a bit
+    files = []
+    for threads in (1, 2):
+        _, (out,) = run_jobs(tmp_path, f"t{threads}", [("certify", CERTIFY)],
+                             threads)
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(files[0]) == 5   # manifest, summary and three family reports
     assert files[0] == files[1]

@@ -577,6 +577,34 @@ class TestGalerkinRun:
 
         assert halving_time(fast, t_fast) < halving_time(slow, t_slow)
 
+    def test_steps_reuse_the_observed_gram_solve(self, grid16, monkeypatch):
+        # each step's first RK stage takes (cd, cv) from the observation of
+        # the state it starts from: 5 steps made 27 Gram builds when every
+        # stage solved again, and the outputs equal that path's bit for bit
+        import abimhd.galerkin as galerkin
+
+        h0, B0, D0, P0 = consistent_galerkin_data(grid16)
+        cfg = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=1e-3)
+        calls = []
+        gram = TrigBasis.gram
+        monkeypatch.setattr(TrigBasis, "gram",
+                            lambda tb, rho: calls.append(1) or gram(tb, rho))
+        fast = galerkin_run(h0, B0, D0, P0, cfg)
+        assert len(calls) <= 22
+        honest = galerkin._galerkin_rhs_arrays
+        monkeypatch.setattr(galerkin, "_galerkin_rhs_arrays",
+                            lambda g, tb, y, cfg, coeffs=None:
+                            honest(g, tb, y, cfg))
+        calls.clear()
+        slow = galerkin_run(h0, B0, D0, P0, cfg)
+        assert len(calls) == 27
+        assert fast.times == slow.times
+        assert fast.diagnostics == slow.diagnostics
+        for a, b in zip(fast.states, slow.states, strict=True):
+            for x, y in ((a.h.values, b.h.values), (a.B.values, b.B.values),
+                         (a.d_coeffs, b.d_coeffs), (a.v_coeffs, b.v_coeffs)):
+                assert np.array_equal(x, y)
+
     def test_rejects_unstable_dt(self, grid16):
         h0, B0 = single_mode_pair(grid16)
         zero = VectorField3.zero(grid16)
