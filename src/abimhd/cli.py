@@ -10,16 +10,15 @@ Exit status: 0 success; 2 configuration error; 3 numerical abort
 on standard error; 4 certificate violation (positive dissipative slack or
 identity defect beyond tolerance).
 
-The environment variable ABIMHD_THREADS caps BLAS threads (0 = automatic)
-by setting the BLAS thread variables before numpy is first imported, so it
-takes effect only in a fresh process; numpy's FFT ignores it. The heavy
-modules are imported lazily so that the cap comes first.
+Configuration keys are read here and checked where they are used: grid
+sizes by GridSpec, Galerkin parameters by GalerkinConfig, mollifier widths
+by mollify. Each handler imports the modules it uses, so a subcommand
+starts up without loading the others.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import struct
 import sys
 from dataclasses import fields, replace
@@ -31,22 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VIOLATION = 4
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("ABIMHD_THREADS")
-    if not cap:
-        return
-    try:
-        n = int(cap)
-    except ValueError:
-        raise ConfigError(f"ABIMHD_THREADS must be an integer, got {cap!r}")
-    if n < 0:
-        raise ConfigError(f"ABIMHD_THREADS must be >= 0, got {n}")
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def _write_manifest(out: Path, subcommand: str, cfg: RunConfig, seed: int) -> None:
@@ -125,7 +108,7 @@ def _cmd_abi_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
 
-    grid = GridSpec(cfg.get_int("grid.n", 32, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 32))
     s0 = _abi_initial(cfg, grid, rng)
     # half the initial bound leaves room for the bound to shrink as the
     # state evolves; the step guard checks every step against its own state
@@ -151,7 +134,7 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
 
-    grid = GridSpec(cfg.get_int("grid.n", 32, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 32))
     h0, B0 = _scenario_pair(cfg, grid, rng)
     s0 = DmhdState(h0, B0)
     dt = cfg.get_float("run.dt", dmhd_cfl_dt(s0), exclusive_min=0.0)
@@ -176,24 +159,12 @@ def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, seed: int,
     from .galerkin import GalerkinConfig, galerkin_run, picard_iterate
     from .snapshots import write_csv, write_snapshot
 
-    grid = GridSpec(cfg.get_int("grid.n", 16, minimum=4, even=True))
+    getter = {bool: cfg.get_bool, int: cfg.get_int, float: cfg.get_float}
+    gcfg = GalerkinConfig(**{
+        f.name: getter[type(f.default)](f"galerkin.{f.name}", f.default)
+        for f in fields(GalerkinConfig)})
+    grid = GridSpec(cfg.get_int("grid.n", 16))
     h0, B0 = _scenario_pair(cfg, grid, rng)
-    default = {f.name: f.default for f in fields(GalerkinConfig)}
-    gcfg = GalerkinConfig(
-        N=cfg.get_int("galerkin.N", default["N"], minimum=1),
-        eps=cfg.get_float("galerkin.eps", default["eps"], exclusive_min=0.0,
-                          maximum=0.999999),
-        l=cfg.get_int("galerkin.l", default["l"], minimum=1),
-        dt=cfg.get_float("galerkin.dt", default["dt"], exclusive_min=0.0),
-        T=cfg.get_float("galerkin.T", default["T"], exclusive_min=0.0),
-        picard=cfg.get_bool("galerkin.picard", default["picard"]),
-        picard_tol=cfg.get_float("galerkin.picard_tol", default["picard_tol"],
-                                 exclusive_min=0.0),
-        picard_max_iter=cfg.get_int("galerkin.picard_max_iter",
-                                    default["picard_max_iter"], minimum=1),
-        sigma=cfg.get_float("galerkin.sigma", default["sigma"],
-                            exclusive_min=0.0),
-    )
     zero = VectorField3.zero(grid)
     driver = picard_iterate if gcfg.picard else galerkin_run
     traj = driver(h0, B0, zero, zero, gcfg)
@@ -218,15 +189,11 @@ def _cmd_mollify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     from .mollify import RoughInitialData, lambda_monotonicity_check, mollify
     from .snapshots import format_float, write_csv, write_snapshot
 
-    grid = GridSpec(cfg.get_int("grid.n", 32, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 32))
     data_path = cfg.get_str("mollify.data")
     text = Path(data_path).read_text()
     data = RoughInitialData.parse(text, grid, Path(data_path).parent)
     schedule = cfg.get_float_list("mollify.eps_schedule", [0.2, 0.1, 0.05])
-    for eps in schedule:
-        if not 0.0 < eps < 1.0:
-            raise ConfigError(f"eps values must lie in (0,1), got {eps}")
-
     report = lambda_monotonicity_check(data, schedule)
     for eps in schedule:
         h_eps, B_eps = mollify(data, eps)
@@ -249,7 +216,7 @@ def _cmd_compare(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     from .compare import error_curves, fit_rate, run_sampled
     from .fields import GridSpec
 
-    grid = GridSpec(cfg.get_int("grid.n", 32, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 32))
     # the bundled single-mode amplitudes put the fitted slopes inside the
     # t^3 / t^4 acceptance bands at n = 32 over t in [0.01, 0.1]
     h0, B0 = _scenario_pair(cfg, grid, rng, default_amp=(0.45, 0.9))
@@ -303,7 +270,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     from .fields import GridSpec
     from .snapshots import write_csv
 
-    grid = GridSpec(cfg.get_int("grid.n", 16, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 16))
     h0, B0 = _scenario_pair(cfg, grid, rng)
     s0 = DmhdState(h0, B0)
     dt = cfg.get_float("run.dt", dmhd_cfl_dt(s0), exclusive_min=0.0)
@@ -356,7 +323,7 @@ def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
     from .fields import GridSpec, random_vector
     from .snapshots import write_csv
 
-    grid = GridSpec(cfg.get_int("grid.n", 16, minimum=4, even=True))
+    grid = GridSpec(cfg.get_int("grid.n", 16))
     kmax = 2                  # band of the frame and the residuals psi, phi
     if grid.n // 3 < 2 * kmax:            # products pass the 2/3 cutoff
         raise ConfigError(
@@ -417,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         cfg = RunConfig.load(args.config) if args.config else RunConfig({})
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in u64, got {args.seed}")

@@ -16,6 +16,10 @@ class ConfigError(ValueError):
     """Malformed configuration text or an out-of-range parameter."""
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     section = ""
@@ -53,70 +57,41 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         return cls(parse_config_text(text))
 
-    def get_str(self, key: str, default: str | None = None) -> str:
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def get_int(self, key: str, default: int | None = None, *,
-                minimum: int | None = None, even: bool = False) -> int:
+    def _get(self, key: str, default, parse, what: str):
+        """parse(value) of key, or default when the key is absent."""
         raw = self.values.get(key)
         if raw is None:
             if default is None:
                 raise ConfigError(f"missing required key {key!r}")
-            val = default
-        else:
-            try:
-                val = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {raw!r}")
+            return default
+        try:
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} must be {what}, got {raw!r}")
+
+    def get_str(self, key: str, default: str | None = None) -> str:
+        return self._get(key, default, str, "a string")
+
+    def get_int(self, key: str, default: int | None = None, *,
+                minimum: int | None = None) -> int:
+        val = self._get(key, default, int, "an integer")
         if minimum is not None and val < minimum:
             raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-        if even and val % 2 != 0:
-            raise ConfigError(f"{key} must be even, got {val}")
         return val
 
     def get_float(self, key: str, default: float | None = None, *,
-                  minimum: float | None = None, maximum: float | None = None,
                   exclusive_min: float | None = None) -> float:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            val = float(default)
-        else:
-            try:
-                val = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {raw!r}")
+        val = float(self._get(key, default, float, "a number"))
         if exclusive_min is not None and not val > exclusive_min:
             raise ConfigError(f"{key} must be > {exclusive_min}, got {val}")
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-        if maximum is not None and val > maximum:
-            raise ConfigError(f"{key} must be <= {maximum}, got {val}")
         return val
 
     def get_bool(self, key: str, default: bool = False) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+        return self._get(key, default, lambda raw: _BOOLS[raw.lower()],
+                         "a boolean")
 
     def get_float_list(self, key: str, default: list[float] | None = None) -> list[float]:
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return list(default)
-        try:
-            return [float(x) for x in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"{key} must be a list of numbers, got {raw!r}")
+        return list(self._get(
+            key, default,
+            lambda raw: [float(x) for x in raw.replace(",", " ").split()],
+            "a list of numbers"))

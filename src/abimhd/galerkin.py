@@ -133,10 +133,6 @@ class BasisSpec:
     def num_functions(self) -> int:
         return 2 * self.N
 
-    @property
-    def dim(self) -> int:
-        return 6 * self.N
-
 
 def _grid_points(grid: GridSpec) -> np.ndarray:
     return np.stack([m.ravel() for m in grid.mesh], axis=1)      # (n^3, 3)
@@ -471,6 +467,8 @@ class GalerkinConfig:
     sigma: float = 0.004
 
     def __post_init__(self):
+        if self.N < 1:
+            raise FieldDataError(f"N must be >= 1, got {self.N}")
         if not 0.0 < self.eps < 1.0:
             raise FieldDataError(f"eps must lie in (0,1), got {self.eps}")
         if self.l < 1:
@@ -495,9 +493,6 @@ class GalerkinState:
     B: VectorField3
     d_coeffs: np.ndarray    # primal coefficients (3, 2N)
     v_coeffs: np.ndarray
-
-    def d_field(self, tb: TrigBasis) -> VectorField3:
-        return VectorField3(self.h.grid, tb.synthesize(self.d_coeffs))
 
 
 @dataclass
@@ -623,8 +618,9 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     def observe(t, y):
         """The primal state and its energy row, from one Gram factorization."""
         h, B, xd, xv = y
-        cd, cv = mass_solve(tb, h, np.stack([xd, xv]))
-        observed[:] = y, (cd, cv)
+        if y is not observed[0]:    # t = 0 is observed for dt_max and by march
+            observed[:] = y, mass_solve(tb, h, np.stack([xd, xv]))
+        cd, cv = observed[1]
         lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
                                            cfg.eps, cfg.l)
         state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)

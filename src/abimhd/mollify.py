@@ -224,8 +224,10 @@ def lambda_monotonicity_check(data: RoughInitialData, eps_schedule,
     For pure density data the rough reference integral((1+|B0|^2)/(2 h0)) is
     computed directly (+inf marker if h0 vanishes against |U0| > 0); for
     atomic data the caller supplies a reference upper value, or None to log
-    the trend only.
+    the trend only. Every width is checked before anything is computed.
     """
+    for eps in eps_schedule:
+        _check_eps(eps)
     if reference is None and any(vec is not None for _, _, vec in data.atoms):
         logger.info("atomic vector data: finiteness of the rough modulated "
                     "energy depends on mutual absolute continuity and is "

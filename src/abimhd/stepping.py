@@ -40,12 +40,11 @@ def rk4_step(y: State, dt: float, rhs: Callable[[State], State]) -> State:
 
 
 def check_blowup(sup_now: float, sup_initial: float,
-                 factor: float = BLOWUP_FACTOR, context: str = "run") -> None:
-    limit = factor * max(sup_initial, 1.0)
-    if sup_now > limit:
+                 context: str = "run") -> None:
+    if sup_now > BLOWUP_FACTOR * max(sup_initial, 1.0):
         raise BlowUpError(
-            f"{context}: sup norm {sup_now:.6g} exceeded {factor:g}x the "
-            f"initial scale {sup_initial:.6g}; terminating")
+            f"{context}: sup norm {sup_now:.6g} exceeded {BLOWUP_FACTOR:g}x "
+            f"the initial scale {sup_initial:.6g}; terminating")
 
 
 def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
@@ -92,8 +91,7 @@ def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
             y = step(y, dt)
             t = stop if landed else t + dt
             if sup is not None:
-                check_blowup(sup(y), sup0, BLOWUP_FACTOR,
-                             getattr(step, "__name__", "march"))
+                check_blowup(sup(y), sup0, getattr(step, "__name__", "march"))
             kept, row = record(t, y)
             if row is not None:
                 rows.append(row)

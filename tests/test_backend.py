@@ -38,7 +38,7 @@ def run_jobs(tmp_path, tag, jobs, blas_threads=None):
               "    assert main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules "
               "if m.split('.')[0] == 'scipy'))\n")
-    env = {k: v for k, v in os.environ.items() if k != "ABIMHD_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)

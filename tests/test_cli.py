@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from abimhd import dmhd, entropy, galerkin
+from abimhd import abi, compare, dmhd, entropy, galerkin
 from abimhd.cli import main
 from abimhd.snapshots import read_snapshot
 
@@ -214,6 +214,75 @@ class TestOtherSubcommands:
                         "[grid]\nn = 16\n[identity]\nresidual_amp = 0\n")
         assert main(["identity-check", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--seed", "0", "--quiet"]) == 4
+
+
+class TestOneHomePerRule:
+    """The CLI reads keys; GridSpec, GalerkinConfig and mollify check them,
+    and a bad value exits 2 before any solver runs."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+
+        def record(*a, **k):
+            calls.append(a)
+
+        for module, name in ((dmhd, "dmhd_run"), (abi, "abi_run"),
+                             (galerkin, "galerkin_run"),
+                             (galerkin, "picard_iterate"),
+                             (compare, "run_sampled"),
+                             (entropy, "identity_residual_check")):
+            monkeypatch.setattr(module, name, record)
+        return calls
+
+    @pytest.mark.parametrize("bad", ["eps = 1", "eps = 0", "N = 0", "l = 0",
+                                     "dt = 0",
+                                     "picard = true\npicard_max_iter = 0"])
+    def test_galerkin_keys_checked_before_the_run(self, tmp_path,
+                                                  solver_calls, bad):
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        f"[grid]\nn = 8\n[galerkin]\n{bad}\n")
+        assert main(["galerkin-run", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert solver_calls == []
+
+    def test_eps_below_one_reaches_the_driver(self, tmp_path, monkeypatch):
+        # GalerkinConfig admits every eps in (0, 1); the CLI no longer caps
+        # it at 0.999999
+        class Handed(Exception):
+            pass
+
+        def spy(h0, B0, D0, P0, cfg):
+            raise Handed(cfg)
+
+        monkeypatch.setattr(galerkin, "galerkin_run", spy)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[galerkin]\neps = 0.9999995\n")
+        with pytest.raises(Handed) as info:
+            main(["galerkin-run", "--config", cfg, "--out",
+                  str(tmp_path / "o"), "--quiet"])
+        assert info.value.args[0].eps == 0.9999995
+
+    @pytest.mark.parametrize("sub", ["dmhd-run", "abi-run", "certify",
+                                     "galerkin-run", "compare",
+                                     "identity-check"])
+    def test_odd_grid_exits_before_the_run(self, tmp_path, solver_calls, sub):
+        cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nn = 7\n")
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        assert solver_calls == []
+
+    def test_mollifier_widths_checked_by_mollify(self, tmp_path):
+        data = tmp_path / "data.txt"
+        data.write_text("atoms 1\n0.5 0.5 0.5 1.0\n")
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n"
+                        f"[mollify]\ndata = {data}\n"
+                        "eps_schedule = 0.2 1.0\n")
+        out = tmp_path / "o"
+        assert main(["mollify", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        assert not list(out.glob("*.abim"))
 
 
 class TestRepeatRuns:

@@ -139,6 +139,22 @@ class TestLambdaMonotonicity:
         assert all(math.isfinite(v) for v in rep.lambda_values)
         assert rep.lambda_values[1] > rep.lambda_values[0]
 
+    @pytest.mark.parametrize("schedule", [[0.2, 1.0], [0.0, 0.1]])
+    def test_whole_schedule_checked_before_any_compute(self, grid16,
+                                                       monkeypatch, schedule):
+        # a bad width anywhere in the schedule stops the check before the rough
+        # reference or any mollified energy is computed
+        import abimhd.mollify as mollify_mod
+
+        calls = []
+        monkeypatch.setattr(mollify_mod, "lambda_functional",
+                            lambda *a, **k: calls.append(a))
+        data = RoughInitialData(grid16,
+                                h_density=ScalarField.constant(grid16, 1.0))
+        with pytest.raises(FieldDataError, match="width"):
+            lambda_monotonicity_check(data, schedule)
+        assert calls == []
+
     def test_weak_star_consistency(self, grid32, rng):
         dens = ScalarField(
             grid32, 1.0 + 0.5 * random_band_limited(grid32, rng, 2, 1.0).values)

@@ -23,7 +23,7 @@ def test_rk4_exact_on_linear_system():
 def test_check_blowup_raises_past_threshold():
     check_blowup(9.0, 1.0)
     with pytest.raises(BlowUpError, match="sup norm"):
-        check_blowup(11.0, 1.0, factor=10.0, context="unit")
+        check_blowup(11.0, 1.0, context="unit")
 
 
 def test_run_detects_blowup(grid16, monkeypatch):
