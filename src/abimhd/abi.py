@@ -32,7 +32,7 @@ from .fields import (
     guarded_reciprocal,
     require_positive,
 )
-from .stepping import StepSizeError, march, rk4_step
+from .stepping import check_positive, check_step, march, rk4_step
 
 __all__ = [
     "AbiState",
@@ -134,10 +134,7 @@ def abi_cfl_dt(s: AbiState) -> float:
 
 
 def abi_step(s: AbiState, dt: float) -> AbiState:
-    dt_max = abi_cfl_dt(s)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt={dt:g} violates the advective step bound {dt_max:g}", dt_max)
+    check_step(dt, abi_cfl_dt(s), "advective step bound")
     g = s.grid
 
     def rhs(y):
@@ -145,9 +142,7 @@ def abi_step(s: AbiState, dt: float) -> AbiState:
 
     h, B, D, P = rk4_step((s.h.values, s.B.values, s.D.values, s.P.values),
                           dt, rhs)
-    if h.min() <= 0.0:
-        raise StepSizeError(
-            f"h lost positivity after a step of dt={dt:g}", dt / 2.0)
+    check_positive(h, dt)
     return AbiState(ScalarField(g, h), VectorField3(g, B),
                     VectorField3(g, D), VectorField3(g, P))
 

@@ -103,7 +103,7 @@ def _abi_initial(cfg: RunConfig, grid, rng):
 # Subcommand handlers. Each returns a process exit status.
 # ----------------------------------------------------------------------
 
-def _cmd_abi_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
+def _cmd_abi_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .abi import abi_cfl_dt, abi_run
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
@@ -129,7 +129,7 @@ def _cmd_abi_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
+def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .dmhd import DmhdState, dmhd_cfl_dt, dmhd_run
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
@@ -153,8 +153,7 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int
     return EXIT_OK
 
 
-def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, seed: int,
-                      quiet: bool) -> int:
+def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .fields import GridSpec, VectorField3
     from .galerkin import GalerkinConfig, galerkin_run, picard_iterate
     from .snapshots import write_csv, write_snapshot
@@ -184,7 +183,7 @@ def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, seed: int,
     return EXIT_OK
 
 
-def _cmd_mollify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
+def _cmd_mollify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .fields import GridSpec
     from .mollify import RoughInitialData, lambda_monotonicity_check, mollify
     from .snapshots import format_float, write_csv, write_snapshot
@@ -210,7 +209,7 @@ def _cmd_mollify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
+def _cmd_compare(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     import numpy as np
 
     from .compare import error_curves, fit_rate, run_sampled
@@ -260,7 +259,7 @@ def _certify_frames(traj, rng, extra: int, kmax: int, amp: float):
     return families
 
 
-def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
+def _cmd_certify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .dmhd import DmhdState, dmhd_cfl_dt, dmhd_run, energy
     from .entropy import (
         SampleTrajectory,
@@ -313,8 +312,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, seed: int, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_identity_check(cfg: RunConfig, out: Path, rng, seed: int,
-                        quiet: bool) -> int:
+def _cmd_identity_check(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .entropy import (
         SampleTrajectory,
         identity_residual_check,
@@ -398,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         _write_manifest(out, args.subcommand, cfg, args.seed)
-        return _HANDLERS[args.subcommand](cfg, out, rng, args.seed, args.quiet)
+        return _HANDLERS[args.subcommand](cfg, out, rng, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,7 +34,12 @@ import numpy as np
 
 from ._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
 from .abi import cross3
-from .dmhd import DmhdTrajectory, _constitutive_arrays, _state_tendency
+from .dmhd import (
+    DmhdTrajectory,
+    _constitutive_arrays,
+    _induction_arrays,
+    _state_tendency,
+)
 from .fields import (
     DEFAULT_H_FLOOR,
     FieldDataError,
@@ -404,26 +409,17 @@ def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
 # Certified shift r0 in closed form.
 # ----------------------------------------------------------------------
 
-def _as_target(target) -> float:
-    if target == "identity":
-        return 1.0
-    t = float(target)
-    if not 0.0 < t < 2.0:
-        raise FieldDataError(
-            f"target multiple must lie in (0, 2) so the fixed lower-right "
-            f"block stays definite, got {t}")
-    return t
-
-
-def _schur_threshold(der: tuple, t: float) -> np.ndarray:
+def _schur_threshold(der: tuple) -> np.ndarray:
     """Exact per-point minimal shift via the 4x4 Schur complement, from Q's
     first four columns Q4 (points, 10, 4): A is their rows 0-3 and, Q being
-    symmetric, the upper-right block C the transpose of their rows 4-9."""
+    symmetric, the upper-right block C the transpose of their rows 4-9.
+    With I subtracted, the lower-right block 2 I becomes I, so the
+    complement is C C^T - A."""
     Q4 = _q_columns(der, range(4))
     C = Q4[:, 4:].swapaxes(1, 2)
-    S = np.einsum("mij,mkj->mik", C, C) / (2.0 - t) - Q4[:, :4]
+    S = np.einsum("mij,mkj->mik", C, C) - Q4[:, :4]
     del Q4, C       # the eigensolve holds S alone
-    return t + jacobi_eigenvalues(S)[:, -1]
+    return 1.0 + jacobi_eigenvalues(S)[:, -1]
 
 
 def _near_max(th: np.ndarray) -> np.ndarray:
@@ -436,11 +432,11 @@ def _near_max(th: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _fold_candidates(cands: tuple, der: tuple, tval: float) -> tuple:
+def _fold_candidates(cands: tuple, der: tuple) -> tuple:
     """Fold a frame's near-maximal thresholds and its full Q there into the
     running candidates: the near-maximal band of all frames lies inside the
     union of each frame's own band, so one frame's columns are held at once."""
-    th = _schur_threshold(der, tval)
+    th = _schur_threshold(der)
     idx = _near_max(th)
     cand_th = np.concatenate([cands[0], th[idx]])
     cand_Q = np.concatenate([cands[1], _q_columns(der, range(10), idx)])
@@ -448,16 +444,15 @@ def _fold_candidates(cands: tuple, der: tuple, tval: float) -> tuple:
     return cand_th[idx], cand_Q[idx]
 
 
-def _certified_shift(cands: tuple, tval: float) -> float:
+def _certified_shift(cands: tuple) -> float:
     """The shift from r0's candidates: their largest threshold, floored at
     zero, certified and rounded up as `r0` describes."""
     cand_th, cand_Q = cands
     shift_slots = np.diag([1.0] * 4 + [0.0] * 6)
-    target_eye = tval * np.eye(10)
     r = max(0.0, float(cand_th.max()))
     step = 4.0 * np.finfo(float).eps * (1.0 + r + float(np.abs(cand_Q).max()))
     for _ in range(R0_ROUND_UPS):
-        mats = cand_Q + r * shift_slots - target_eye
+        mats = cand_Q + r * shift_slots - np.eye(10)
         if jacobi_min_eigenvalue(mats).min() >= 0.0:
             return float(r)
         r += step
@@ -467,29 +462,28 @@ def _certified_shift(cands: tuple, tval: float) -> float:
         f"matrix positive semidefinite; Q assembly is corrupted")
 
 
-def r0(frames: Sequence[TestFieldFrame], target="identity") -> float:
-    """Smallest shift r with Q(w*) + r I_{10:4} - target I_10 >= 0 everywhere.
+def r0(frames: Sequence[TestFieldFrame]) -> float:
+    """Smallest shift r with Q(w*) + r I_{10:4} - I_10 >= 0 everywhere.
 
     The lower-right 6x6 block of Q is 2 I, so the Schur complement gives r
     in closed form: the maximum over all sampled (t, x) of
-    target + lambda_max(C C^T / (2 - target) - A), floored at zero, where A
-    is the upper-left 4x4 block and C the upper-right 4x6 block, both read
-    from Q's first four columns. The value is certified by LAPACK's
-    `eigvalsh` on the full 10x10 matrices at the pointwise-worst candidates,
-    the only points where they are formed, rounded up by ulp-scaled steps if
-    round-off leaves it just infeasible, so the shifted matrix is positive
-    semidefinite at every sampled point. A frame holding the previous
-    frame's fields repeats its thresholds and candidates and is skipped.
-    `dissipative_slack` certifies the same value from its own pass.
+    1 + lambda_max(C C^T - A), floored at zero, where A is the upper-left
+    4x4 block and C the upper-right 4x6 block, both read from Q's first
+    four columns. The value is certified by LAPACK's `eigvalsh` on the full
+    10x10 matrices at the pointwise-worst candidates, the only points where
+    they are formed, rounded up by ulp-scaled steps if round-off leaves it
+    just infeasible, so the shifted matrix is positive semidefinite at every
+    sampled point. A frame holding the previous frame's fields repeats its
+    thresholds and candidates and is skipped. `dissipative_slack` certifies
+    the same value from its own pass.
     """
     if not frames:
         raise FieldDataError("r0 requires at least one frame")
-    tval = _as_target(target)
     cands = _NO_CANDIDATES
     for f, prev in zip(frames, [None, *frames]):
         if not _holds_previous(f, prev):
-            cands = _fold_candidates(cands, _frame_derivatives(f), tval)
-    return _certified_shift(cands, tval)
+            cands = _fold_candidates(cands, _frame_derivatives(f))
+    return _certified_shift(cands)
 
 
 # ----------------------------------------------------------------------
@@ -515,11 +509,12 @@ class SampleTrajectory:
                      ) -> "SampleTrajectory":
         """Trajectory with prescribed defect residuals for identity tests.
 
-        h is evolved by -div P and B through a curl (so the continuity
-        equation and div B = 0 hold by construction), while D and P are
-        offset from the constitutive values by `psi` and `varphi` and the
-        induction flux gains curl(curl_source). The recovered residuals are
-        then psi, varphi and curl(curl_source) up to time-difference error.
+        h is evolved by -div P and B by the solver's induction law (a curl,
+        so the continuity equation and div B = 0 hold by construction),
+        while D and P are offset from the constitutive values by `psi` and
+        `varphi` and dt B gains curl(curl_source). The recovered residuals
+        are then psi, varphi and curl(curl_source) up to time-difference
+        error; with none, this is the `dmhd_run` trajectory.
         """
         from .stepping import march, rk4_step
 
@@ -535,8 +530,7 @@ class SampleTrajectory:
         def rhs(y):
             h, B = y
             D, P = derived(h, B)
-            r = guarded_reciprocal(h)
-            dB = -g.ifft(g.curl_hat(g.fft_masked((D + cross3(B, P)) * r)))
+            dB = _induction_arrays(g, h, B, D, P)
             if curl_source is not None:
                 dB = dB + g.curl_arr(np.asarray(curl_source, dtype=float))
             return -g.div_arr(P), dB
@@ -669,10 +663,10 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame]
         if not _holds_previous(f, prev):
             work = der = None   # no earlier frame's arrays meet the fold
             der = _frame_derivatives(f)
-            cands = _fold_candidates(cands, der, 1.0)
+            cands = _fold_candidates(cands, der)
             work = der, _forcing(f, der)
         lam[k], quad[k], lin[k] = _frame_terms(sol, k, f, *work)
-    r = _certified_shift(cands, 1.0)
+    r = _certified_shift(cands)
 
     wt = np.exp(-r * sol.times)
     q_int = wt * (quad + r * lam if r > 0.0 else quad)   # 0 * inf is nan
@@ -715,14 +709,15 @@ def identity_residual_check(sol: SampleTrajectory,
     construction of the trajectory) but are otherwise arbitrary, the defect
     residuals
 
-        phi    = dt B + curl((D + B x P)/h)
+        phi    = dt B + curl(B x (P/h) + D/h)
         psi    = D - curl(B/h)
         varphi = P - div(B (x) B / h) - grad(1/h)
 
     satisfy  d/dt integral(|U~|^2/2h) + integral(W~^T Q W~ / 2h)
     + integral(W~ . L) = integral(phi.(b - b*) + psi.(d - d*)
-    + varphi.(v - v*)).  Time derivatives are centered differences on the
-    sample grid, so both sides are reported at interior times only.
+    + varphi.(v - v*)).  phi is taken against the solver's induction law,
+    `dmhd._induction_arrays`. Time derivatives are centered differences on
+    the sample grid, so both sides are reported at interior times only.
     """
     g = sol.grid
     T = len(sol)
@@ -750,7 +745,7 @@ def identity_residual_check(sol: SampleTrajectory,
         dent = (ent[k + 1] - ent[k - 1]) / dt_span
         dB = (sol.B[k + 1] - sol.B[k - 1]) / dt_span
 
-        phi = dB + g.ifft(g.curl_hat(g.fft_masked((D + cross3(B, P)) * r)))
+        phi = dB - _induction_arrays(g, h, B, D, P)
         D_c, P_c = _constitutive_arrays(g, h, B)
         psi = D - D_c
         varphi = P - P_c

@@ -140,6 +140,11 @@ class GridSpec:
         x = self.axis_coords
         return np.stack(np.meshgrid(x, x, x, indexing="ij"))
 
+    @property
+    def points(self) -> np.ndarray:
+        """Coordinates of every node as rows, shape (n^3, 3)."""
+        return np.stack([m.ravel() for m in self.mesh], axis=1)
+
     # Integer wavenumbers of the half-complex (rfftn) layout, broadcastable
     # against spectra of shape (n, n, n//2 + 1).
     @cached_property

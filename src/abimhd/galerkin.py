@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .abi import cross3
-from .dmhd import _constitutive_spectra
+from .dmhd import _constitutive_spectra, _energy_arrays
 from .fields import (
     DEFAULT_H_FLOOR,
     SYM_PAIRS,
@@ -62,9 +62,8 @@ from .fields import (
     _full_modes,
     _mode_sum,
     _phase_blocks,
-    guarded_reciprocal,
 )
-from .stepping import BlowUpError, StepSizeError, march, rk4_step
+from .stepping import BlowUpError, check_positive, check_step, march, rk4_step
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +84,6 @@ __all__ = [
     "flow_map",
     "transport_h",
     "transport_B",
-    "galerkin_rhs",
     "galerkin_stable_dt",
     "galerkin_run",
     "picard_iterate",
@@ -134,10 +132,6 @@ class BasisSpec:
         return 2 * self.N
 
 
-def _grid_points(grid: GridSpec) -> np.ndarray:
-    return np.stack([m.ravel() for m in grid.mesh], axis=1)      # (n^3, 3)
-
-
 class TrigBasis:
     """BasisSpec bound to a grid: tables, quadrature and point evaluation."""
 
@@ -150,7 +144,7 @@ class TrigBasis:
                 f"basis wavevectors reach |k_i|={np.abs(k).max()} which the "
                 f"n={grid.n} grid cannot carry exactly")
         self.kvecs = k.astype(float)
-        phase = 2.0 * np.pi * (_grid_points(grid) @ self.kvecs.T)   # (n^3, N)
+        phase = 2.0 * np.pi * (grid.points @ self.kvecs.T)          # (n^3, N)
         rt2 = math.sqrt(2.0)
         self.table = np.concatenate([rt2 * np.sin(phase),
                                      rt2 * np.cos(phase)], axis=1)  # (n^3, 2N)
@@ -414,7 +408,7 @@ def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
     the backward march carries the foot and J with dJ/ds = div v, J(t) = 0.
     """
     vm = _as_model(tb, vtraj)
-    pts = _grid_points(grid)
+    pts = grid.points
     feet, J = _march(lambda s, p, _: (vm.eval(s, p), vm.div(s, p)),
                      t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
     vals = h0.eval(feet % 1.0) * np.exp(J)
@@ -434,7 +428,7 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
     """
     vm = _as_model(tb, vtraj)
     dm = _as_model(tb, dtraj)
-    pts = _grid_points(grid)
+    pts = grid.points
     eye = np.eye(3)
 
     def rates(s, p, Z, c):
@@ -546,27 +540,6 @@ def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig,
             _projected_source(tb, cfg, Ngrid, cv, chi_v))
 
 
-def galerkin_rhs(state: GalerkinState, tb: TrigBasis,
-                 cfg: GalerkinConfig):
-    """Tendencies of (h, B) and of the primal (d, v) coefficients.
-
-    The momentum form evolves the dual coefficients chi = M[h] c; the primal
-    tendency returned here is M[h]^{-1}(source - M[dt h] c), equivalent to
-    that dual evolution.
-    """
-    g = state.h.grid
-    chi_d, chi_v = mass_apply(tb, state.h.values,
-                              np.stack([state.d_coeffs, state.v_coeffs]))
-    dh, dB, s_d, s_v = _galerkin_rhs_arrays(
-        g, tb, (state.h.values, state.B.values, chi_d, chi_v), cfg,
-        (state.d_coeffs, state.v_coeffs))
-    Gdot = tb.gram(dh)
-    cd_dot, cv_dot = mass_solve(
-        tb, state.h.values, np.stack([s_d - state.d_coeffs @ Gdot.T,
-                                      s_v - state.v_coeffs @ Gdot.T]))
-    return (ScalarField(g, dh), VectorField3(g, dB), cd_dot, cv_dot)
-
-
 def galerkin_stable_dt(state: GalerkinState, tb: TrigBasis,
                        cfg: GalerkinConfig) -> float:
     """Explicit stability bound: hyperviscous, relaxation and advective rates."""
@@ -578,27 +551,29 @@ def galerkin_stable_dt(state: GalerkinState, tb: TrigBasis,
     return 0.5 * 2.8 / (rate + adv + 1.0)
 
 
-def _energy_parts(g, tb, h, B, chi_d, chi_v, cd, cv, eps, l):
-    r = guarded_reciprocal(h)
-    lam_en = float((((B ** 2).sum(0) + 1.0) * r * 0.5).mean())
+def _observation(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, t: float,
+                 h, B, cd, cv, chi_d, chi_v) -> tuple[GalerkinState, tuple]:
+    """The state at t from its primal (cd, cv) and momentum (chi_d, chi_v)
+    coefficients, and its row (t, Lambda_n, dissipation, hyperviscous,
+    min h): the kinetic <c, chi> is the dissipation and, times eps/2,
+    Lambda_n's share beyond the DMHD energy."""
     kinetic = float((cd * chi_d).sum() + (cv * chi_v).sum())
-    diss = kinetic
-    lam_n = lam_en + 0.5 * eps * kinetic
-    lam_l = tb.lam ** l
-    hyper = eps * float((lam_l * cd ** 2).sum() + (lam_l * cv ** 2).sum())
-    return lam_n, diss, hyper
+    lam_n = _energy_arrays(h, B) + 0.5 * cfg.eps * kinetic
+    lam_l = tb.lam ** cfg.l
+    hyper = cfg.eps * float((lam_l * cd ** 2).sum() + (lam_l * cv ** 2).sum())
+    state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)
+    return state, (t, lam_n, kinetic, hyper, float(h.min()))
 
 
 def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
-                 P0: VectorField3, cfg: GalerkinConfig,
-                 basis: BasisSpec | None = None) -> GalerkinTrajectory:
+                 P0: VectorField3, cfg: GalerkinConfig) -> GalerkinTrajectory:
     """Method-of-lines RK4 on (h, B, chi_d, chi_v) up to time T.
 
     Initial momentum coefficients are the dual projections of D0 and P0, so
     d(0) and v(0) carry the mass-operator-inverted structure of the data.
     """
     g = h0.grid
-    tb = TrigBasis(basis or BasisSpec(cfg.N), g)
+    tb = TrigBasis(BasisSpec(cfg.N), g)
     chi_d = tb.project(D0.values)
     chi_v = tb.project(P0.values)
 
@@ -610,9 +585,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     def galerkin_step(y, dt):
         y = rk4_step(y, dt, rhs)
-        if y[0].min() <= 0.0:
-            raise StepSizeError(
-                f"h lost positivity after a step of dt={dt:g}", dt / 2)
+        check_positive(y[0], dt)
         return y
 
     def observe(t, y):
@@ -620,18 +593,12 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         h, B, xd, xv = y
         if y is not observed[0]:    # t = 0 is observed for dt_max and by march
             observed[:] = y, mass_solve(tb, h, np.stack([xd, xv]))
-        cd, cv = observed[1]
-        lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
-                                           cfg.eps, cfg.l)
-        state = GalerkinState(t, ScalarField(g, h), VectorField3(g, B), cd, cv)
-        return state, (t, lam_n, diss, hyper, float(h.min()))
+        return _observation(g, tb, cfg, t, h, B, *observed[1], xd, xv)
 
     y0 = (h0.values.copy(), B0.values.copy(), chi_d, chi_v)
-    dt_max = galerkin_stable_dt(observe(0.0, y0)[0], tb, cfg)
-    if cfg.dt > dt_max * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt={cfg.dt:g} exceeds the stability bound {dt_max:g} "
-            f"(hyperviscous order l={cfg.l}, eps={cfg.eps:g})", dt_max)
+    check_step(cfg.dt, galerkin_stable_dt(observe(0.0, y0)[0], tb, cfg),
+               f"hyperviscous (l={cfg.l}) and relaxation (eps={cfg.eps:g}) "
+               "step bound")
 
     def sup(y):
         return max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
@@ -693,8 +660,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
 
 
 def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
-                   P0: VectorField3, cfg: GalerkinConfig,
-                   basis: BasisSpec | None = None) -> GalerkinTrajectory:
+                   P0: VectorField3, cfg: GalerkinConfig) -> GalerkinTrajectory:
     """Fixed-point construction of the relaxation system on [0, T].
 
     Works subinterval by subinterval: on each [t0, t0 + sigma] the map
@@ -704,30 +670,19 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     The next subinterval restarts from the transported end state.
     """
     g = h0.grid
-    tb = TrigBasis(basis or BasisSpec(cfg.N), g)
+    tb = TrigBasis(BasisSpec(cfg.N), g)
 
     h_cur = h0
     B_cur = B0
     chi_d = tb.project(D0.values)
     chi_v = tb.project(P0.values)
 
-    times: list[float] = []
-    states: list[GalerkinState] = []
-    diags: list[tuple[float, ...]] = []
-
-    def record(t_abs, h, B, cd, cv, xd, xv):
-        lam_n, diss, hyper = _energy_parts(g, tb, h, B, xd, xv, cd, cv,
-                                           cfg.eps, cfg.l)
-        times.append(t_abs)
-        states.append(GalerkinState(t_abs, ScalarField(g, h),
-                                    VectorField3(g, B), cd, cv))
-        diags.append((t_abs, lam_n, diss, hyper, float(h.min())))
-
     t_base = 0.0
     sigma = cfg.sigma
     halvings = 0
     cd0, cv0 = mass_solve(tb, h_cur.values, np.stack([chi_d, chi_v]))
-    record(0.0, h_cur.values, B_cur.values, cd0, cv0, chi_d, chi_v)
+    observed = [_observation(g, tb, cfg, 0.0, h_cur.values, B_cur.values,
+                             cd0, cv0, chi_d, chi_v)]    # (state, row) pairs
 
     while t_base < cfg.T - 1e-14:
         sigma_eff = min(sigma, cfg.T - t_base)
@@ -766,12 +721,12 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
         # accept the subinterval; record interior samples and restart data
         for i, t in enumerate(quad_times[1:], start=1):
-            cd_i, cv_i = z.coeffs[i]
-            xd_i, xv_i = mass_apply(tb, hs[i], z.coeffs[i])
-            record(t_base + t, hs[i], Bs[i], cd_i, cv_i, xd_i, xv_i)
+            chi_d, chi_v = mass_apply(tb, hs[i], z.coeffs[i])
+            observed.append(_observation(g, tb, cfg, t_base + t, hs[i], Bs[i],
+                                         *z.coeffs[i], chi_d, chi_v))
         h_cur = ScalarField(g, hs[-1])
         B_cur = VectorField3(g, Bs[-1])
         cd0, cv0 = z.coeffs[-1]
-        chi_d, chi_v = mass_apply(tb, hs[-1], z.coeffs[-1])
         t_base += sigma_eff
-    return GalerkinTrajectory(times, states, diags)
+    states, rows = zip(*observed)
+    return GalerkinTrajectory([s.t for s in states], list(states), list(rows))

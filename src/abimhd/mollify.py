@@ -77,8 +77,8 @@ def periodized_gaussian(grid: GridSpec, eps: float,
     """Unit-mass positive mollifier sampled on the grid."""
     _check_eps(eps)
     k = gaussian_shell_count(eps) if shells is None else shells
-    pts = np.stack([m.ravel() for m in grid.mesh], axis=1)
-    return ScalarField(grid, _gaussian_sum(pts, eps, k).reshape(grid.shape))
+    return ScalarField(grid,
+                       _gaussian_sum(grid.points, eps, k).reshape(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def mollify(data: RoughInitialData, eps: float,
         for i in range(3):
             B[i] = _convolve(g, data.B_density.values[i], kernel)
     if data.atoms:
-        pts = np.stack([m.ravel() for m in g.mesh], axis=1)
+        pts = g.points
         for loc, m, vec in data.atoms:
             bump = _gaussian_sum(pts - np.asarray(loc, dtype=float),
                                  eps, k).reshape(g.shape)

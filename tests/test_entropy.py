@@ -198,11 +198,7 @@ class TestQMatrix:
 
 class TestR0:
     def test_constant_frame_identity_target(self, grid16):
-        assert r0([constant_frame(grid16)], "identity") == pytest.approx(
-            1.0, abs=1e-9)
-
-    def test_constant_frame_shifted_target(self, grid16):
-        assert r0([constant_frame(grid16)], 1.5) == pytest.approx(1.5, abs=1e-9)
+        assert r0([constant_frame(grid16)]) == pytest.approx(1.0, abs=1e-9)
 
     def test_shear_frame_matches_dense_scan(self, grid16):
         fast = r0([shear_frame(grid16)])
@@ -232,20 +228,16 @@ class TestR0:
         # eigensolver r0 certifies with; it raises LinAlgError otherwise
         np.linalg.cholesky(Q + 1e-9 * np.eye(10))
 
-    def test_rejects_target_of_two(self, grid16):
-        with pytest.raises(FieldDataError):
-            r0([constant_frame(grid16)], 2.0)
-
     @staticmethod
-    def closed_form(frames, t=1.0):
-        """max(0, max over points of t + lambda_max(C C^T/(2-t) - A)),
+    def closed_form(frames):
+        """max(0, max over points of 1 + lambda_max(C C^T/(2-1) - A)),
         evaluated with LAPACK."""
         worst = -math.inf
         for f in frames:
             Q = q_matrix(f).reshape(-1, 10, 10)
             A, C = Q[:, :4, :4], Q[:, :4, 4:]
-            S = C @ C.swapaxes(1, 2) / (2.0 - t) - A
-            worst = max(worst, t + np.linalg.eigvalsh(S)[:, -1].max())
+            S = C @ C.swapaxes(1, 2) / (2.0 - 1.0) - A
+            worst = max(worst, 1.0 + np.linalg.eigvalsh(S)[:, -1].max())
         return max(0.0, worst)
 
     def test_matches_closed_form_oracle(self, grid16, rng):
@@ -254,11 +246,9 @@ class TestR0:
         families.append([random_frame(grid16, rng, t=0.1 * k, amplitude=0.3)
                          for k in range(3)])
         for frames in families:
-            for target in ("identity", 0.5):
-                t = 1.0 if target == "identity" else target
-                r = r0(frames, target)
-                assert type(r) is float
-                assert abs(r - self.closed_form(frames, t)) <= 1e-12 * (1 + r)
+            r = r0(frames)
+            assert type(r) is float
+            assert abs(r - self.closed_form(frames)) <= 1e-12 * (1 + r)
 
     def test_shifted_matrix_positive_at_every_point(self, grid16, rng):
         frames = [random_frame(grid16, rng, t=0.1 * k, amplitude=0.5)
@@ -286,8 +276,7 @@ class TestR0:
     def test_held_family_equals_its_base_frame(self, grid16, rng):
         base = random_frame(grid16, rng, amplitude=0.3)
         held = static_frames(base, [0.1 * k for k in range(5)])
-        for target in ("identity", 0.5):
-            assert r0(held, target) == r0([base], target)
+        assert r0(held) == r0([base])
 
 
 class TestLOperator:
@@ -688,6 +677,22 @@ class TestIdentity:
             frames = frames + static_frames(frames[-1], [sol.times[-1] + 1.0])
         with pytest.raises(FieldDataError, match="time axis"):
             identity_residual_check(sol, frames)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_manufactured_without_residuals_is_the_dmhd_run(self, n):
+        # both march the one induction law, with P/h dealiased
+        g = GridSpec(n)
+        rng = np.random.default_rng(5)
+        h0 = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
+        B0 = random_divergence_free(g, rng, 2, 0.3)
+        s0 = DmhdState(h0, B0)
+        dt = 0.9 * dmhd_cfl_dt(s0)
+        want = SampleTrajectory.from_dmhd(dmhd_run(s0, dt, 10))
+        got = SampleTrajectory.manufactured(h0, B0, dt, 10)
+        assert np.array_equal(got.times, want.times)
+        for name in ("h", "B", "D", "P"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
 
     def test_manufactured_residuals_balance(self, grid16, rng):
         h0, B0 = single_mode_pair(grid16)

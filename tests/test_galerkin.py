@@ -18,7 +18,6 @@ from abimhd.galerkin import (
     BasisSpec,
     CoefficientTrajectory,
     GalerkinConfig,
-    GalerkinState,
     ModalScalar,
     ModalVector,
     TrigBasis,
@@ -514,18 +513,17 @@ class TestGalerkinRun:
             assert s.h.values.max() <= hi[k] * (1.0 + 1e-6)
 
     def test_rhs_stationary_for_uniform_state(self, grid16):
-        from abimhd.galerkin import galerkin_rhs
-        zero = VectorField3.zero(grid16)
+        from abimhd.galerkin import _galerkin_rhs_arrays
         cfg = GalerkinConfig(N=7, eps=0.1, l=1)
         tb = TrigBasis(BasisSpec(7), grid16)
-        state = GalerkinState(0.0, ScalarField.constant(grid16, 1.0),
-                              VectorField3.constant(grid16, (0.2, 0.0, 0.1)),
-                              np.zeros((3, 14)), np.zeros((3, 14)))
-        dh, dB, cd_dot, cv_dot = galerkin_rhs(state, tb, cfg)
-        assert dh.sup_norm() < 1e-13
-        assert dB.sup_norm() < 1e-13
-        assert np.abs(cd_dot).max() < 1e-12
-        assert np.abs(cv_dot).max() < 1e-12
+        zero = np.zeros((3, 14))
+        y = (np.ones(grid16.shape),
+             VectorField3.constant(grid16, (0.2, 0.0, 0.1)).values, zero, zero)
+        dh, dB, s_d, s_v = _galerkin_rhs_arrays(grid16, tb, y, cfg)
+        assert np.abs(dh).max() < 1e-13
+        assert np.abs(dB).max() < 1e-13
+        assert np.abs(s_d).max() < 1e-12
+        assert np.abs(s_v).max() < 1e-12
 
     def test_rhs_projection_matches_direct_quadrature(self, grid16, rng):
         # an independently assembled <source, basis> quadrature at one mode
@@ -610,8 +608,9 @@ class TestGalerkinRun:
         h0, B0 = single_mode_pair(grid16)
         zero = VectorField3.zero(grid16)
         cfg = GalerkinConfig(N=7, eps=0.1, l=2, dt=1.0, T=2.0)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match=r"l=2\).*eps=0\.1") as err:
             galerkin_run(h0, B0, zero, zero, cfg)
+        assert err.value.suggested_dt < cfg.dt
 
     @pytest.mark.parametrize("bad", [
         {"sigma": 0.0}, {"sigma": -1e-4}, {"dt": 0.0}, {"T": -1.0},

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from abimhd import compare, stepping
+from abimhd import abi, compare, dmhd, galerkin, stepping
 from abimhd.dmhd import DmhdState, dmhd_run
-from abimhd.fields import FieldDataError, ScalarField, VectorField3
-from abimhd.stepping import BlowUpError, check_blowup, rk4_step
+from abimhd.fields import FieldDataError, GridSpec, ScalarField, VectorField3
+from abimhd.stepping import BlowUpError, StepSizeError, check_blowup, rk4_step
 from conftest import single_mode_pair
 
 
@@ -106,3 +106,33 @@ def test_unordered_sample_times_rejected_before_any_step(grid16, monkeypatch,
     h0, B0 = single_mode_pair(grid16)
     with pytest.raises(FieldDataError, match="increasing and positive"):
         compare.dmhd_run_at_times(DmhdState(h0, B0), stops)
+
+
+def _negative_h_step(y, dt, rhs):
+    """An RK4 stand-in whose step drives h below zero."""
+    return (-np.ones_like(y[0]), *y[1:])
+
+
+@pytest.mark.parametrize("solver", ["abi", "dmhd", "galerkin"])
+def test_lost_positivity_suggests_half_the_step(monkeypatch, solver):
+    grid = GridSpec(8)
+    h0, B0 = single_mode_pair(grid)
+    zero = VectorField3.zero(grid)
+    if solver == "abi":
+        s = abi.AbiState.consistent(B0, zero)
+        dt = 0.5 * abi.abi_cfl_dt(s)
+        owner, run = abi, lambda: abi.abi_step(s, dt)
+    elif solver == "dmhd":
+        s = DmhdState(h0, B0)
+        dt = 0.5 * dmhd.dmhd_cfl_dt(s)
+        owner, run = dmhd, lambda: dmhd.dmhd_step(s, dt)
+    else:
+        cfg = galerkin.GalerkinConfig(N=2, eps=0.5, l=1, dt=1e-4, T=2e-4)
+        dt = cfg.dt
+        owner, run = galerkin, lambda: galerkin.galerkin_run(h0, B0, zero,
+                                                             zero, cfg)
+    monkeypatch.setattr(owner, "rk4_step", _negative_h_step)
+    with pytest.raises(StepSizeError, match="lost positivity") as err:
+        run()
+    assert err.value.suggested_dt == dt / 2
+
