@@ -48,6 +48,9 @@ __all__ = [
     "fit_rate",
 ]
 
+MAX_FIRST_SAMPLE = 0.02   # coarsest first sample time rescaled frames accept
+RATE_FLOOR = 1e-13        # error floor of the solvers that fit_rate discounts
+
 
 def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
                      cfl_fraction: float = 0.5) -> AbiTrajectory:
@@ -144,9 +147,7 @@ def error_curves(abi_traj: AbiTrajectory,
     return ComparisonSeries(ts, err_h, err_B, cum_D, cum_P)
 
 
-def rescaled_test_fields(abi_traj: AbiTrajectory,
-                         max_first_sample: float = 0.02
-                         ) -> list[TestFieldFrame]:
+def rescaled_test_fields(abi_traj: AbiTrajectory) -> list[TestFieldFrame]:
     """Test-field frames on the theta = t^2/2 grid from a conservative run.
 
     h*(theta) and b*(theta) are the rescaled density and induction ratios;
@@ -158,10 +159,10 @@ def rescaled_test_fields(abi_traj: AbiTrajectory,
     times = np.asarray(abi_traj.times)
     if len(times) < 3:
         raise FieldDataError("need at least two positive sample times")
-    if times[1] > max_first_sample:
+    if times[1] > MAX_FIRST_SAMPLE:
         raise FieldDataError(
             f"first positive sample t={times[1]:g} too coarse to form the "
-            f"theta -> 0 limits; sample at dt <= {max_first_sample:g}")
+            f"theta -> 0 limits; sample at dt <= {MAX_FIRST_SAMPLE:g}")
     g = abi_traj.states[0].grid
     thetas = times ** 2 / 2.0
 
@@ -212,19 +213,18 @@ class RateFit:
     residual: float     # RMS of log-space fit residuals
 
 
-def fit_rate(times: Sequence[float], errors: Sequence[float],
-             floor: float = 1e-13) -> RateFit:
+def fit_rate(times: Sequence[float], errors: Sequence[float]) -> RateFit:
     """Fit the convergence exponent, excluding floor-dominated samples.
 
-    Samples with error below 10x the estimated solver floor are dropped;
+    Samples with error below 10x the solver floor RATE_FLOOR are dropped;
     at least four strictly positive samples must survive.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(errors, dtype=float)
-    keep = e > 10.0 * floor
+    keep = e > 10.0 * RATE_FLOOR
     if keep.sum() < 4:
         raise FieldDataError(
-            f"rate fit needs >= 4 samples above the floor {floor:g}; "
+            f"rate fit needs >= 4 samples above the floor {RATE_FLOOR:g}; "
             f"only {int(keep.sum())} remain")
     t, e = t[keep], e[keep]
     if np.any(e <= 0):

@@ -144,13 +144,8 @@ def dmhd_cfl_dt(s: DmhdState) -> float:
 def dmhd_step(s: DmhdState, dt: float) -> DmhdState:
     check_step(dt, dmhd_cfl_dt(s), "parabolic step bound")
     g = s.grid
-
-    def rhs(y):
-        if y[0] is s.h.values:      # the first stage: s itself
-            return _state_tendency(s)
-        return _rhs_arrays(g, y[0], y[1])
-
-    h, B = rk4_step((s.h.values, s.B.values), dt, rhs)
+    h, B = rk4_step((s.h.values, s.B.values), dt,
+                    lambda y: _rhs_arrays(g, *y), k1=_state_tendency(s))
     check_positive(h, dt)
     return DmhdState(ScalarField(g, h), VectorField3(g, B))
 

@@ -75,6 +75,8 @@ __all__ = [
 DEFAULT_U_FLOOR = 1e-8
 R0_MAX_CANDIDATES = 4096    # worst points the r0 certificate eigensolves
 R0_ROUND_UPS = 8            # ulp-scaled round-up attempts before giving up
+DUAL_FEAS_TOL = 1e-12       # round-off a dual pair's a + |A|^2/2 may exceed 0
+HOLDER_KMAX = 2             # band |k_i| of the Hoelder quotient's test modes
 _NO_CANDIDATES = (np.empty(0), np.empty((0, 10, 10)))
 
 
@@ -320,8 +322,8 @@ def _floored_quotient(num: np.ndarray, rho: np.ndarray, X: np.ndarray,
 
 
 def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
-                            pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                            feas_tol: float = 1e-12) -> float:
+                            pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+                            ) -> float:
     """Best lower bound from a finite family of dual test pairs (a, A).
 
     Each pair must satisfy a + |A|^2 / 2 <= 0 pointwise; the returned value
@@ -336,7 +338,7 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
         A = np.asarray(A, dtype=float)
         slackv = a + 0.5 * (A ** 2).sum(0)
         worst = slackv.max()
-        if worst > feas_tol:
+        if worst > DUAL_FEAS_TOL:
             flat = int(np.argmax(slackv))
             idx = tuple(int(i) for i in np.unravel_index(flat, slackv.shape))
             raise FieldDataError(
@@ -514,7 +516,9 @@ class SampleTrajectory:
         while D and P are offset from the constitutive values by `psi` and
         `varphi` and dt B gains curl(curl_source). The recovered residuals
         are then psi, varphi and curl(curl_source) up to time-difference
-        error; with none, this is the `dmhd_run` trajectory.
+        error; with none, this is the `dmhd_run` trajectory. The march
+        carries each state as (h, B, D, P), so its (D, P) is derived once,
+        for the sample and the next step's first stage.
         """
         from .stepping import march, rk4_step
 
@@ -525,20 +529,22 @@ class SampleTrajectory:
 
         def derived(h, B):
             D, P = _constitutive_arrays(g, h, B)
-            return D + psi, P + varphi
+            return h, B, D + psi, P + varphi
 
-        def rhs(y):
-            h, B = y
-            D, P = derived(h, B)
+        def tendency(h, B, D, P):
             dB = _induction_arrays(g, h, B, D, P)
             if curl_source is not None:
                 dB = dB + g.curl_arr(np.asarray(curl_source, dtype=float))
             return -g.div_arr(P), dB
 
+        def step(s, dt):
+            h, B = rk4_step(s[:2], dt, lambda y: tendency(*derived(*y)),
+                            k1=tendency(*s))
+            return derived(h, B)
+
         times, samples, _ = march(
-            (h0.values, B0.values), lambda y, dt: rk4_step(y, dt, rhs),
-            [k * dt for k in range(1, n_steps + 1)], lambda y: dt,
-            observe=lambda t, y: ((*y, *derived(*y)), None))
+            derived(h0.values, B0.values), step,
+            [k * dt for k in range(1, n_steps + 1)], lambda y: dt)
         hs, Bs, Ds, Ps = (np.stack(f) for f in zip(*samples))
         return cls(g, np.asarray(times), hs, Bs, Ds, Ps)
 
@@ -560,11 +566,11 @@ class SampleTrajectory:
         return len(self.times)
 
 
-def holder_half_quotient(sol: SampleTrajectory, kmax: int = 2) -> float:
+def holder_half_quotient(sol: SampleTrajectory) -> float:
     """Empirical Hoelder-1/2 quotient of t -> (h, B) in the weak topology.
 
-    Pairs the increments against the low trigonometric modes (|k_i| <= kmax)
-    and returns max over sample pairs of that defect divided by
+    Pairs the increments against the low trigonometric modes (|k_i| <=
+    HOLDER_KMAX) and returns max over sample pairs of that defect divided by
     sqrt(|t - s|). Reported for diagnostics; the theory bounds it by a
     constant depending only on the horizon and the initial data, which is
     not computable here.
@@ -572,7 +578,7 @@ def holder_half_quotient(sol: SampleTrajectory, kmax: int = 2) -> float:
     g = sol.grid
     x, y, z = g.mesh
     tests = [np.ones(g.shape)]
-    for k in range(1, kmax + 1):
+    for k in range(1, HOLDER_KMAX + 1):
         for axis in (x, y, z):
             tests.append(np.sin(2 * np.pi * k * axis))
             tests.append(np.cos(2 * np.pi * k * axis))

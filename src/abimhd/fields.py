@@ -334,17 +334,14 @@ class VectorField3:
 # ----------------------------------------------------------------------
 
 def grad(f: ScalarField) -> VectorField3:
-    require_finite(f.values, "grad input")
     return VectorField3(f.grid, f.grid.grad_arr(f.values))
 
 
 def div(v: VectorField3) -> ScalarField:
-    require_finite(v.values, "div input")
     return ScalarField(v.grid, v.grid.div_arr(v.values))
 
 
 def curl(v: VectorField3) -> VectorField3:
-    require_finite(v.values, "curl input")
     return VectorField3(v.grid, v.grid.curl_arr(v.values))
 
 
@@ -352,7 +349,6 @@ def hyper_laplacian(v: VectorField3, order: int) -> VectorField3:
     """Apply (-Laplacian)^order: each mode k is scaled by (4 pi^2 |k|^2)^order."""
     if order < 1:
         raise FieldDataError(f"hyper-Laplacian order must be >= 1, got {order}")
-    require_finite(v.values, "hyper_laplacian input")
     return VectorField3(v.grid, v.grid.hyper_laplacian_arr(v.values, order))
 
 
@@ -371,9 +367,8 @@ def shift(f: ScalarField | VectorField3, delta: Sequence[float]):
     return type(f)(f.grid, f.grid.shift_arr(f.values, delta))
 
 
-def guarded_reciprocal(h: np.ndarray, floor: float = DEFAULT_H_FLOOR,
-                       name: str = "h") -> np.ndarray:
-    require_positive(h, floor, name)
+def guarded_reciprocal(h: np.ndarray) -> np.ndarray:
+    require_positive(h)
     return 1.0 / h
 
 

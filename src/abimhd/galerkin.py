@@ -45,7 +45,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +67,6 @@ from .stepping import BlowUpError, check_positive, check_step, march, rk4_step
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "BasisSpec",
     "TrigBasis",
     "GalerkinConfig",
     "GalerkinState",
@@ -113,36 +111,20 @@ def positive_wavevectors(count: int) -> np.ndarray:
         radius += 1
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """N wavevectors from the positive half-lattice; 2N scalar functions."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise FieldDataError("basis needs at least one wavevector")
-
-    @cached_property
-    def wavevectors(self) -> np.ndarray:
-        return positive_wavevectors(self.N)
-
-    @property
-    def num_functions(self) -> int:
-        return 2 * self.N
-
-
 class TrigBasis:
-    """BasisSpec bound to a grid: tables, quadrature and point evaluation."""
+    """The first N wavevectors of the positive half-lattice, 2N scalar
+    functions, on a grid: tables, quadrature and point evaluation."""
 
-    def __init__(self, basis: BasisSpec, grid: GridSpec):
-        self.basis = basis
-        self.grid = grid
-        k = basis.wavevectors
+    def __init__(self, N: int, grid: GridSpec):
+        if N < 1:
+            raise FieldDataError("basis needs at least one wavevector")
+        k = positive_wavevectors(N)
         if np.abs(k).max() >= grid.n // 2:
             raise FieldDataError(
                 f"basis wavevectors reach |k_i|={np.abs(k).max()} which the "
                 f"n={grid.n} grid cannot carry exactly")
+        self.N = N
+        self.grid = grid
         self.kvecs = k.astype(float)
         phase = 2.0 * np.pi * (grid.points @ self.kvecs.T)          # (n^3, N)
         rt2 = math.sqrt(2.0)
@@ -171,7 +153,7 @@ class TrigBasis:
 
     def orthonormality_defect(self) -> float:
         G = self.gram(np.ones(self.grid.shape))
-        return float(np.abs(G - np.eye(self.basis.num_functions)).max())
+        return float(np.abs(G - np.eye(2 * self.N)).max())
 
     # -- point-side evaluation (exact trigonometric sums) ---------------------
 
@@ -187,7 +169,7 @@ class TrigBasis:
         held = self._held
         if held is not None and np.array_equal(held[0], pts):
             return held[1]
-        N = self.basis.N
+        N = self.N
         tab = np.empty((pts.shape[0], 2 * N))
         for rows, phases in _phase_blocks(pts, self.kvecs):
             tab[rows, :N] = phases.imag
@@ -203,7 +185,7 @@ class TrigBasis:
 
     def eval_jacobian(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Jacobian d_j v_i at points, shape (M, 3, 3)."""
-        N = self.basis.N
+        N = self.N
         w = 2.0 * np.pi * self.kvecs                          # (N, 3)
         # d_j sqrt2 sin(2 pi k.x) = w_j sqrt2 cos(2 pi k.x) and
         # d_j sqrt2 cos(2 pi k.x) = -w_j sqrt2 sin(2 pi k.x)
@@ -236,7 +218,7 @@ def mass_apply(tb: TrigBasis, rho: np.ndarray, coeffs: np.ndarray) -> np.ndarray
 def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Invert the weighted Gram operator on every coefficient set stacked on
     chi's leading axes, through one Cholesky factor L (L, then L^T)."""
-    n_fun = tb.basis.num_functions
+    n_fun = 2 * tb.N
     if chi.shape[-1] != n_fun:
         raise FieldDataError(
             f"coefficients need a last axis of {n_fun}, got shape {chi.shape}")
@@ -571,37 +553,37 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     Initial momentum coefficients are the dual projections of D0 and P0, so
     d(0) and v(0) carry the mass-operator-inverted structure of the data.
+    The march carries each state with its primal coefficients (cd, cv),
+    solved once after each step: the observation and the next step's first
+    stage both read them.
     """
     g = h0.grid
-    tb = TrigBasis(BasisSpec(cfg.N), g)
-    chi_d = tb.project(D0.values)
-    chi_v = tb.project(P0.values)
+    tb = TrigBasis(cfg.N, g)
 
-    observed = [None, None]     # the last observed state and its (cd, cv)
+    def solved(y):
+        """y with its primal coefficients (cd, cv), from one Gram solve."""
+        return y, mass_solve(tb, y[0], np.stack(y[2:]))
 
-    def rhs(y):     # a step's first stage is the observed state itself
-        return _galerkin_rhs_arrays(
-            g, tb, y, cfg, observed[1] if y is observed[0] else None)
-
-    def galerkin_step(y, dt):
-        y = rk4_step(y, dt, rhs)
+    def galerkin_step(yc, dt):
+        y, coeffs = yc
+        y = rk4_step(y, dt, lambda z: _galerkin_rhs_arrays(g, tb, z, cfg),
+                     k1=_galerkin_rhs_arrays(g, tb, y, cfg, coeffs))
         check_positive(y[0], dt)
-        return y
+        return solved(y)
 
-    def observe(t, y):
-        """The primal state and its energy row, from one Gram factorization."""
-        h, B, xd, xv = y
-        if y is not observed[0]:    # t = 0 is observed for dt_max and by march
-            observed[:] = y, mass_solve(tb, h, np.stack([xd, xv]))
-        return _observation(g, tb, cfg, t, h, B, *observed[1], xd, xv)
+    def observe(t, yc):
+        (h, B, xd, xv), (cd, cv) = yc
+        return _observation(g, tb, cfg, t, h, B, cd, cv, xd, xv)
 
-    y0 = (h0.values.copy(), B0.values.copy(), chi_d, chi_v)
+    y0 = solved((h0.values.copy(), B0.values.copy(), tb.project(D0.values),
+                 tb.project(P0.values)))
     check_step(cfg.dt, galerkin_stable_dt(observe(0.0, y0)[0], tb, cfg),
                f"hyperviscous (l={cfg.l}) and relaxation (eps={cfg.eps:g}) "
                "step bound")
 
-    def sup(y):
-        return max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+    def sup(yc):
+        h, B = yc[0][:2]
+        return max(float(np.abs(h).max()), float(np.abs(B).max()))
 
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     return GalerkinTrajectory(*march(
@@ -625,16 +607,16 @@ def _node_sources(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, h, B,
 
 def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
                 z: CoefficientTrajectory):
-    """One application of the integral fixed-point map on a subinterval.
-
-    Transports (h, B) along the current iterate's velocity, quadratures the
-    projected sources in time, and mass-solves back to primal coefficients.
-    """
-    m = len(quad_times)
+    """One application of the integral fixed-point map on a subinterval, in
+    one pass over its nodes: each transports (h, B) along the current
+    iterate's velocity, adds its projected sources to the trapezoid time
+    quadrature and mass-solves back to primal coefficients."""
     cd_traj = CoefficientTrajectory(z.times, z.coeffs[:, 0])
     cv_traj = CoefficientTrajectory(z.times, z.coeffs[:, 1])
-    hs, Bs, s_d, s_v = [], [], [], []
-    for t in quad_times:
+    hs, Bs = [], []
+    new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
+    chi_d, chi_v = chi_d0, chi_v0
+    for i, t in enumerate(quad_times):
         h = transport_h(tb, cv_traj, h0_modal, t, g).values
         B = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g).values
         if h.min() <= DEFAULT_H_FLOOR:
@@ -642,19 +624,14 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
                 f"transported density hit the floor at t={t:g}")
         src_d, src_v = _node_sources(g, tb, cfg, h, B, cd_traj.at(t),
                                      cv_traj.at(t))
+        if i > 0:
+            dt_seg = t - quad_times[i - 1]
+            chi_d = chi_d + 0.5 * dt_seg * (prev_d + src_d)
+            chi_v = chi_v + 0.5 * dt_seg * (prev_v + src_v)
+        new_coeffs[i] = mass_solve(tb, h, np.stack([chi_d, chi_v]))
         hs.append(h)
         Bs.append(B)
-        s_d.append(src_d)
-        s_v.append(src_v)
-
-    new_coeffs = np.empty((m, 2, 3, tb.basis.num_functions))
-    chi_d, chi_v = chi_d0, chi_v0
-    for i in range(m):
-        if i > 0:
-            dt_seg = quad_times[i] - quad_times[i - 1]
-            chi_d = chi_d + 0.5 * dt_seg * (s_d[i - 1] + s_d[i])
-            chi_v = chi_v + 0.5 * dt_seg * (s_v[i - 1] + s_v[i])
-        new_coeffs[i] = mass_solve(tb, hs[i], np.stack([chi_d, chi_v]))
+        prev_d, prev_v = src_d, src_v
     return (CoefficientTrajectory(np.asarray(quad_times), new_coeffs),
             hs, Bs)
 
@@ -670,7 +647,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     The next subinterval restarts from the transported end state.
     """
     g = h0.grid
-    tb = TrigBasis(BasisSpec(cfg.N), g)
+    tb = TrigBasis(cfg.N, g)
 
     h_cur = h0
     B_cur = B0
@@ -681,8 +658,8 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     sigma = cfg.sigma
     halvings = 0
     cd0, cv0 = mass_solve(tb, h_cur.values, np.stack([chi_d, chi_v]))
-    observed = [_observation(g, tb, cfg, 0.0, h_cur.values, B_cur.values,
-                             cd0, cv0, chi_d, chi_v)]    # (state, row) pairs
+    samples = [_observation(g, tb, cfg, 0.0, h_cur.values, B_cur.values,
+                            cd0, cv0, chi_d, chi_v)]    # (state, row) pairs
 
     while t_base < cfg.T - 1e-14:
         sigma_eff = min(sigma, cfg.T - t_base)
@@ -722,11 +699,11 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         # accept the subinterval; record interior samples and restart data
         for i, t in enumerate(quad_times[1:], start=1):
             chi_d, chi_v = mass_apply(tb, hs[i], z.coeffs[i])
-            observed.append(_observation(g, tb, cfg, t_base + t, hs[i], Bs[i],
-                                         *z.coeffs[i], chi_d, chi_v))
+            samples.append(_observation(g, tb, cfg, t_base + t, hs[i], Bs[i],
+                                        *z.coeffs[i], chi_d, chi_v))
         h_cur = ScalarField(g, hs[-1])
         B_cur = VectorField3(g, Bs[-1])
         cd0, cv0 = z.coeffs[-1]
         t_base += sigma_eff
-    states, rows = zip(*observed)
+    states, rows = zip(*samples)
     return GalerkinTrajectory([s.t for s in states], list(states), list(rows))

@@ -49,9 +49,10 @@ PERIODIZATION_TAIL = 1e-16
 LAMBDA_H_FLOOR = 1e-300
 
 
-def gaussian_shell_count(eps: float, tail: float = PERIODIZATION_TAIL) -> int:
+def gaussian_shell_count(eps: float) -> int:
     """Shifts per axis so the dropped periodization tail is below round-off."""
-    return int(math.ceil(1.0 + eps * math.sqrt(2.0 * math.log(1.0 / tail))))
+    return int(math.ceil(
+        1.0 + eps * math.sqrt(2.0 * math.log(1.0 / PERIODIZATION_TAIL))))
 
 
 def _check_eps(eps: float) -> None:

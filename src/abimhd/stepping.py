@@ -29,9 +29,14 @@ BLOWUP_FACTOR = 10.0    # sup-norm growth over the initial scale that aborts
 STOP_RTOL = 1e-12       # a step lands on a stop within this share of the stop
 
 
-def rk4_step(y: State, dt: float, rhs: Callable[[State], State]) -> State:
-    """One classical Runge-Kutta step on a tuple of arrays."""
-    k1 = rhs(y)
+def rk4_step(y: State, dt: float, rhs: Callable[[State], State],
+             k1: State | None = None) -> State:
+    """One classical Runge-Kutta step on a tuple of arrays.
+
+    k1 is rhs(y) when the caller already holds it; it is derived otherwise.
+    """
+    if k1 is None:
+        k1 = rhs(y)
     k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
     k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
     k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))

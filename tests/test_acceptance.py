@@ -44,7 +44,6 @@ from abimhd.fields import (
     random_vector,
 )
 from abimhd.galerkin import (
-    BasisSpec,
     CoefficientTrajectory,
     GalerkinConfig,
     ModalScalar,
@@ -288,7 +287,7 @@ def test_criterion_9_rescaling_rates():
 def test_criterion_10_galerkin():
     g = GridSpec(16)
     rng = np.random.default_rng(10)
-    tb = TrigBasis(BasisSpec(33), g)
+    tb = TrigBasis(33, g)
     ortho = tb.orthonormality_defect()
     ortho_ok = ortho <= 1e-10
 
@@ -317,8 +316,8 @@ def test_criterion_10_galerkin():
     picard_ok = picard_gap <= 1e-5
 
     # characteristics transport vs spectral advection of the density
-    tb7 = TrigBasis(BasisSpec(7), g)
-    kv = tb7.basis.wavevectors
+    tb7 = TrigBasis(7, g)
+    kv = tb7.kvecs
     coeffs = np.zeros((3, 14))
     coeffs[0, next(i for i, k in enumerate(kv) if tuple(k) == (0, 1, 0))] = \
         0.4 / np.sqrt(2.0)

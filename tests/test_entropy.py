@@ -694,6 +694,44 @@ class TestIdentity:
             a, b = getattr(got, name), getattr(want, name)
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
 
+    def test_manufactured_states_derive_once(self, grid16, rng, monkeypatch):
+        # each state's (D, P) serves its sample and the next step's first
+        # stage: 10 steps derive 1 + 10 x (3 stages + 1 end state) = 41
+        # times, and the arrays equal those of deriving every stage afresh
+        from abimhd.dmhd import _constitutive_arrays, _induction_arrays
+        from abimhd.stepping import rk4_step
+
+        g = grid16
+        h0 = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
+        B0 = random_divergence_free(g, rng, 2, 0.3)
+        psi, varphi, curl_src = (random_vector(g, rng, 2, 0.1).values
+                                 for _ in range(3))
+        dt = 0.5 * dmhd_cfl_dt(DmhdState(h0, B0))
+        calls = []
+        monkeypatch.setattr(entropy, "_constitutive_arrays",
+                            lambda *a: calls.append(1)
+                            or _constitutive_arrays(*a))
+        sol = SampleTrajectory.manufactured(h0, B0, dt, 10, psi, varphi,
+                                            curl_src)
+        assert len(calls) == 41
+
+        def derived(h, B):
+            D, P = _constitutive_arrays(g, h, B)
+            return D + psi, P + varphi
+
+        def rhs(y):
+            D, P = derived(*y)
+            dB = _induction_arrays(g, *y, D, P) + g.curl_arr(curl_src)
+            return -g.div_arr(P), dB
+
+        y = (h0.values, B0.values)
+        for k in range(11):
+            if k > 0:
+                y = rk4_step(y, dt, rhs)
+            for got, want in zip((sol.h[k], sol.B[k], sol.D[k], sol.P[k]),
+                                 (*y, *derived(*y)), strict=True):
+                assert np.array_equal(got, want)
+
     def test_manufactured_residuals_balance(self, grid16, rng):
         h0, B0 = single_mode_pair(grid16)
         psi = random_vector(grid16, rng, 2, 0.1).values

@@ -15,7 +15,6 @@ from abimhd.fields import (
     random_divergence_free,
 )
 from abimhd.galerkin import (
-    BasisSpec,
     CoefficientTrajectory,
     GalerkinConfig,
     ModalScalar,
@@ -38,14 +37,14 @@ from conftest import naive_trig_eval, single_mode_pair
 
 @pytest.fixture
 def tb16(grid16):
-    return TrigBasis(BasisSpec(7), grid16)
+    return TrigBasis(7, grid16)
 
 
 def shear_trajectory(tb):
     """v = (sin 2 pi y, 0, 0), constant in time."""
-    kv = tb.basis.wavevectors
+    kv = tb.kvecs
     idx = next(i for i, k in enumerate(kv) if tuple(k) == (0, 1, 0))
-    coeffs = np.zeros((3, tb.basis.num_functions))
+    coeffs = np.zeros((3, 2 * tb.N))
     coeffs[0, idx] = 1.0 / np.sqrt(2.0)
     return CoefficientTrajectory.constant((0.0, 1.0), coeffs)
 
@@ -67,13 +66,17 @@ class TestBasis:
 
     def test_orthonormality(self, grid16):
         for N in (7, 33):
-            tb = TrigBasis(BasisSpec(N), grid16)
+            tb = TrigBasis(N, grid16)
             assert tb.orthonormality_defect() < 1e-10
 
     def test_rejects_unresolvable_wavevectors(self):
         g = GridSpec(4)
         with pytest.raises(FieldDataError):
-            TrigBasis(BasisSpec(20), g)
+            TrigBasis(20, g)
+
+    def test_rejects_an_empty_basis(self, grid16):
+        with pytest.raises(FieldDataError, match="at least one wavevector"):
+            TrigBasis(0, grid16)
 
 
 def direct_basis_oracle(kvecs, coeffs, pts):
@@ -99,7 +102,7 @@ class TestPointEvaluation:
 
     @pytest.mark.parametrize("N", [7, 33])
     def test_basis_matches_direct_formula(self, grid16, rng, N):
-        tb = TrigBasis(BasisSpec(N), grid16)
+        tb = TrigBasis(N, grid16)
         coeffs = rng.standard_normal((3, 2 * N))
         pts = rng.uniform(-2.0, 3.0, (700, 3))       # off-grid, outside [0,1)
         val, jac = direct_basis_oracle(tb.kvecs, coeffs, pts)
@@ -217,7 +220,7 @@ class TestMassOperator:
         rho = 0.5 + 0.5 * np.abs(random_band_limited(grid16, rng, 2, 1.0).values)
         G = tb16.gram(rho)
         # power iteration on G^-1 via repeated solves
-        v = rng.standard_normal(tb16.basis.num_functions)
+        v = rng.standard_normal(2 * tb16.N)
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(200):
@@ -240,7 +243,7 @@ class TestMassOperator:
 
     @pytest.mark.parametrize("N", [7, 33])
     def test_stacked_solve_matches_separate_solves(self, grid16, rng, N):
-        tb = TrigBasis(BasisSpec(N), grid16)
+        tb = TrigBasis(N, grid16)
         rho = 1.0 + 0.4 * random_band_limited(grid16, rng, 2, 1.0).values
         chi = rng.standard_normal((2, 3, 2 * N))
         stacked = mass_solve(tb, rho, chi)
@@ -335,7 +338,7 @@ class TestTransport:
 
     def test_h_compressive_matches_upwind_oracle(self, tb16, grid16):
         # 1D compressive velocity v = (sin 2 pi x, 0, 0)
-        kv = tb16.basis.wavevectors
+        kv = tb16.kvecs
         idx = next(i for i, k in enumerate(kv) if tuple(k) == (1, 0, 0))
         coeffs = np.zeros((3, 14))
         coeffs[0, idx] = 1.0 / np.sqrt(2.0)
@@ -376,7 +379,7 @@ class TestTransport:
         # generic small run against direct spectral integration of the
         # induction equation with the same (d, v)
         g = grid16
-        kv = tb16.basis.wavevectors
+        kv = tb16.kvecs
         coeffs_v = np.zeros((3, 14))
         coeffs_d = np.zeros((3, 14))
         idx_y = next(i for i, k in enumerate(kv) if tuple(k) == (0, 1, 0))
@@ -429,7 +432,7 @@ class TestTransport:
     def test_B_matches_fine_reference(self, rng):
         # coefficients linear in time; the default dt_flow against 400 substeps
         g = GridSpec(8)
-        tb = TrigBasis(BasisSpec(7), g)
+        tb = TrigBasis(7, g)
         c = 0.3 * rng.standard_normal((2, 2, 3, 14))
         times = np.array([0.0, 0.05])
         vtraj = CoefficientTrajectory(times, c[:, 0])
@@ -496,7 +499,7 @@ class TestGalerkinRun:
         h0, B0, D0, P0 = consistent_galerkin_data(grid16)
         cfg = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=0.01)
         traj = galerkin_run(h0, B0, D0, P0, cfg)
-        tb = TrigBasis(BasisSpec(7), grid16)
+        tb = TrigBasis(7, grid16)
         masses = [s.h.values.mean() for s in traj.states]
         assert np.abs(np.array(masses) - masses[0]).max() < 1e-8
         # density bounds from the accumulated sup of div v
@@ -515,7 +518,7 @@ class TestGalerkinRun:
     def test_rhs_stationary_for_uniform_state(self, grid16):
         from abimhd.galerkin import _galerkin_rhs_arrays
         cfg = GalerkinConfig(N=7, eps=0.1, l=1)
-        tb = TrigBasis(BasisSpec(7), grid16)
+        tb = TrigBasis(7, grid16)
         zero = np.zeros((3, 14))
         y = (np.ones(grid16.shape),
              VectorField3.constant(grid16, (0.2, 0.0, 0.1)).values, zero, zero)
@@ -528,7 +531,7 @@ class TestGalerkinRun:
     def test_rhs_projection_matches_direct_quadrature(self, grid16, rng):
         # an independently assembled <source, basis> quadrature at one mode
         from abimhd.galerkin import _galerkin_rhs_arrays, _grid_sources
-        tb = TrigBasis(BasisSpec(7), grid16)
+        tb = TrigBasis(7, grid16)
         cfg = GalerkinConfig(N=7, eps=0.2, l=1)
         h0, B0, D0, P0 = consistent_galerkin_data(grid16)
         chi_d = tb.project(D0.values)
@@ -540,7 +543,7 @@ class TestGalerkinRun:
         d = tb.synthesize(cd)
         v = tb.synthesize(cv)
         S, Ngrid = _grid_sources(grid16, h0.values, B0.values, d, v, cfg.eps)
-        kvec = tb.basis.wavevectors[3]
+        kvec = tb.kvecs[3]
         x, y, z = grid16.mesh
         phase = 2 * np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z)
         for comp in range(3):
@@ -553,7 +556,7 @@ class TestGalerkinRun:
         # larger eps relaxes d toward curl(B/h)/h more slowly
         h0, B0 = single_mode_pair(grid16)
         zero = VectorField3.zero(grid16)
-        tb = TrigBasis(BasisSpec(7), grid16)
+        tb = TrigBasis(7, grid16)
 
         def defect_history(eps):
             cfg = GalerkinConfig(N=7, eps=eps, l=1, dt=4e-4, T=0.06)

@@ -214,7 +214,7 @@ def galerkin_sample(n, kind, N=47, seed=7):
     """Grid data of `sample` plus a basis and random (d, v) coefficients;
     N = 47 reaches |k_i| = 3, past the 2/3 cutoff of an n = 8 grid."""
     g, h, B, _, _ = sample(n, kind, seed)
-    tb = galerkin.TrigBasis(galerkin.BasisSpec(N), g)
+    tb = galerkin.TrigBasis(N, g)
     rng = np.random.default_rng(seed + 1)
     cd, cv = (0.3 * rng.standard_normal((3, 2 * N)) for _ in range(2))
     return g, tb, galerkin.GalerkinConfig(N=N, eps=0.2, l=1), h, B, cd, cv

@@ -20,6 +20,27 @@ def test_rk4_exact_on_linear_system():
     assert np.abs(y[0] - exact).max() < 1e-10
 
 
+def test_rk4_takes_the_first_stage_it_is_handed():
+    # k1 = rhs(y) handed in gives the same step bit for bit and spares one
+    # of the four calls
+    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    calls = []
+
+    def rhs(s):
+        calls.append(1)
+        return (np.sin(A @ s[0]), s[1] * s[0].sum())
+
+    y = (np.array([0.3, -0.7]), np.array([[1.5, 2.0], [0.1, -0.2]]))
+    want = rk4_step(y, 0.05, rhs)
+    assert len(calls) == 4
+    k1 = rhs(y)
+    calls.clear()
+    got = rk4_step(y, 0.05, rhs, k1=k1)
+    assert len(calls) == 3
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_check_blowup_raises_past_threshold():
     check_blowup(9.0, 1.0)
     with pytest.raises(BlowUpError, match="sup norm"):
@@ -108,7 +129,7 @@ def test_unordered_sample_times_rejected_before_any_step(grid16, monkeypatch,
         compare.dmhd_run_at_times(DmhdState(h0, B0), stops)
 
 
-def _negative_h_step(y, dt, rhs):
+def _negative_h_step(y, dt, rhs, k1=None):
     """An RK4 stand-in whose step drives h below zero."""
     return (-np.ones_like(y[0]), *y[1:])
 
