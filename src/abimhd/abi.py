@@ -29,8 +29,12 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField3,
+    _energy_arrays,
+    _matvec,
+    cross3,
     guarded_reciprocal,
     require_positive,
+    vec_norm,
 )
 from .stepping import check_positive, check_step, march, rk4_step
 
@@ -54,16 +58,6 @@ __all__ = [
 ]
 
 CFL_SAFETY = 0.4
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
-def vec_norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,7 @@ def abi_constraints(s: AbiState) -> ConstraintNorms:
 
 def abi_entropy(s: AbiState) -> float:
     """Conserved convex entropy integral((1 + B^2 + D^2 + P^2) / (2h))."""
-    r = guarded_reciprocal(s.h.values)
-    nsq = ((s.B.values ** 2).sum(0) + (s.D.values ** 2).sum(0)
-           + (s.P.values ** 2).sum(0))
-    return float(((1.0 + nsq) * r * 0.5).mean())
+    return _energy_arrays(s.h.values, s.B.values, s.D.values, s.P.values)
 
 
 def galilean_boost(s: AbiState, V, t: float) -> AbiState:
@@ -253,9 +244,7 @@ class NcTendency:
 
 def _advect(g: GridSpec, vel: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(vel . grad) f for a vector field f, dealiased."""
-    jac = g.jacobian_arr(f)
-    out = np.einsum("jxyz,ijxyz->ixyz", vel, jac)
-    return g.dealias_arr(out)
+    return g.dealias_arr(_matvec(g.jacobian_arr(f), vel))
 
 
 def nc_rhs(s: NonConsState, reduction: Reduction = "none") -> NcTendency:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abi import AbiState, AbiTrajectory, abi_cfl_dt, abi_step, vec_norm
+from .abi import AbiState, AbiTrajectory, abi_cfl_dt, abi_step
 from .dmhd import (
     DmhdState,
     DmhdTrajectory,
@@ -33,6 +33,7 @@ from .fields import (
     ScalarField,
     VectorField3,
     guarded_reciprocal,
+    vec_norm,
 )
 from .snapshots import format_float, write_csv
 from .stepping import march

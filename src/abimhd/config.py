@@ -8,12 +8,19 @@ stored verbatim (trimmed) and typed on access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Malformed configuration text or an out-of-range parameter."""
+
+
+def _finite(raw: str) -> float:
+    if not math.isfinite(val := float(raw)):
+        raise ValueError(raw)
+    return val
 
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -81,7 +88,7 @@ class RunConfig:
 
     def get_float(self, key: str, default: float | None = None, *,
                   exclusive_min: float | None = None) -> float:
-        val = float(self._get(key, default, float, "a number"))
+        val = float(self._get(key, default, _finite, "a finite number"))
         if exclusive_min is not None and not val > exclusive_min:
             raise ConfigError(f"{key} must be > {exclusive_min}, got {val}")
         return val
@@ -93,5 +100,5 @@ class RunConfig:
     def get_float_list(self, key: str, default: list[float] | None = None) -> list[float]:
         return list(self._get(
             key, default,
-            lambda raw: [float(x) for x in raw.replace(",", " ").split()],
-            "a list of numbers"))
+            lambda raw: [_finite(x) for x in raw.replace(",", " ").split()],
+            "a list of finite numbers"))

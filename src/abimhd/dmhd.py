@@ -22,14 +22,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .abi import cross3, vec_norm
 from .fields import (
     SYM_PAIRS,
     FieldDataError,
     GridSpec,
     ScalarField,
     VectorField3,
+    _energy_arrays,
+    cross3,
     guarded_reciprocal,
+    vec_norm,
 )
 from .stepping import check_positive, check_step, march, rk4_step
 
@@ -148,12 +150,6 @@ def dmhd_step(s: DmhdState, dt: float) -> DmhdState:
                     lambda y: _rhs_arrays(g, *y), k1=_state_tendency(s))
     check_positive(h, dt)
     return DmhdState(ScalarField(g, h), VectorField3(g, B))
-
-
-def _energy_arrays(h: np.ndarray, B: np.ndarray) -> float:
-    """integral((|B|^2 + 1) / (2h)), the energy of (h, B)."""
-    r = guarded_reciprocal(h)
-    return float((((B ** 2).sum(0) + 1.0) * r * 0.5).mean())
 
 
 def energy(s: DmhdState) -> float:

@@ -27,13 +27,12 @@ dual supremum is available only as a finite-family lower bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
-from .abi import cross3
 from .dmhd import (
     DmhdTrajectory,
     _constitutive_arrays,
@@ -46,10 +45,16 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField3,
+    _curl_of,
+    _matvec,
+    cross3,
     guarded_reciprocal,
+    random_band_limited,
+    random_vector,
     require_positive,
 )
 from .snapshots import format_float, write_csv
+from .stepping import march, rk4_step
 
 __all__ = [
     "TestFieldFrame",
@@ -65,6 +70,7 @@ __all__ = [
     "identity_residual_check",
     "q_decomposition_defect",
     "frames_from_dmhd",
+    "held_frames",
     "constant_frame",
     "random_frame",
     "convex_combination",
@@ -128,8 +134,6 @@ def constant_frame(grid: GridSpec, t: float = 0.0, h_star: float = 1.0,
 def random_frame(grid: GridSpec, rng: np.random.Generator, t: float = 0.0,
                  kmax: int = 2, amplitude: float = 0.1) -> TestFieldFrame:
     """Random smooth frame, band-limited to |k_i| <= kmax, with 1/h* > 0."""
-    from .fields import random_band_limited, random_vector
-
     base = random_band_limited(grid, rng, kmax, amplitude).values
     return TestFieldFrame(
         t,
@@ -202,11 +206,6 @@ def _q_apply(der: tuple, W: np.ndarray) -> np.ndarray:
     ])
 
 
-def _matvec(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise M w for a (3, 3, ...) matrix field and a (3, ...) vector."""
-    return np.einsum("ij...,j...->i...", M, w)
-
-
 def _q_columns(der: tuple, cols: Sequence[int], at=slice(None)) -> np.ndarray:
     """Columns `cols` of Q(w*), `_q_apply` of the unit vectors, at the flat
     grid points `at` (all by default), shape (points, 10, len(cols))."""
@@ -220,14 +219,6 @@ def q_matrix(frame: TestFieldFrame) -> np.ndarray:
     blockwise through `_q_apply` and forms no dense field."""
     return _q_columns(_frame_derivatives(frame), range(10)).reshape(
         *frame.grid.shape, 10, 10)
-
-
-def _curl_of(jac: np.ndarray) -> np.ndarray:
-    """Curl from a Jacobian [i, j] = d_j v_i: curl_i = J[k, j] - J[j, k]
-    for (i, j, k) cyclic."""
-    return np.stack([jac[2, 1] - jac[1, 2],
-                     jac[0, 2] - jac[2, 0],
-                     jac[1, 0] - jac[0, 1]])
 
 
 def l_operator(frame: TestFieldFrame) -> np.ndarray:
@@ -346,6 +337,14 @@ def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
                 f"at index {idx}")
         best = max(best, float((a * rv).mean() + (A * U).sum(0).mean()))
     return best
+
+
+def held_frames(base: TestFieldFrame, times) -> list[TestFieldFrame]:
+    """Frame `base` at every time of `times` with zero time derivatives, as a
+    constant family needs for a consistent forcing term; the frames share
+    their field objects, which is how `_holds_previous` knows them."""
+    zs, zv = ScalarField.constant(base.grid, 0.0), VectorField3.zero(base.grid)
+    return [replace(base, t=t, dt_h_star_inv=zs, dt_b_star=zv) for t in times]
 
 
 def _holds_previous(frame: TestFieldFrame, prev) -> bool:
@@ -520,8 +519,6 @@ class SampleTrajectory:
         carries each state as (h, B, D, P), so its (D, P) is derived once,
         for the sample and the next step's first stage.
         """
-        from .stepping import march, rk4_step
-
         g = h0.grid
         z = np.zeros((3, *g.shape))
         psi = z if psi is None else np.asarray(psi, dtype=float)
@@ -736,7 +733,7 @@ def identity_residual_check(sol: SampleTrajectory,
     for k in range(T):
         U, _ = _modulated_fields(sol.h[k], sol.B[k], sol.D[k], sol.P[k],
                                  frames[k])
-        ent[k] = float(((U ** 2).sum(0) / (2.0 * sol.h[k])).mean())
+        ent[k] = lambda_functional(ScalarField(g, sol.h[k]), U)
 
     times = sol.times
     lhs = np.empty(T - 2)

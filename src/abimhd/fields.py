@@ -10,12 +10,14 @@ symbol 2 pi i k act on its spectrum before the single inverse transform
 `div_sym_masked` for symmetric tensors). Divisions by a density are done in physical space behind a
 positivity guard.
 
-Point evaluation sums the modes exactly, without spreading to a grid (the
-exact counterpart of a type-2 nonuniform FFT). Its phases are separable:
-`_phase_blocks` takes exp(2 pi i k_a x_a) over the distinct |k_a| of each
-axis and multiplies the three factors of every mode in place, EVAL_CHUNK
-points at a time. `eval_at`, `galerkin.ModalScalar.eval` and the point side
-of `galerkin.TrigBasis` all build their phases this way.
+Point evaluation sums a field's mode list exactly, without spreading to a
+grid (the exact counterpart of a type-2 nonuniform FFT): `ModalScalar` and
+`ModalVector` keep the modes above MODE_REL_TOL of the largest, and `eval_at`
+evaluates them. The phases are separable: `_phase_blocks` takes
+exp(2 pi i k_a x_a) over the distinct |k_a| of each axis and multiplies the
+three factors of every mode in place, EVAL_CHUNK points at a time, for
+`ModalScalar.eval` and the point side of `galerkin.TrigBasis`. The pointwise
+vector algebra and the energy integral that the solvers share live here too.
 
 Every operation here is a pure function of immutable inputs: field values are
 stored read-only and new arrays are returned, so concurrent use is safe and
@@ -48,6 +50,8 @@ __all__ = [
     "hyper_laplacian",
     "integrate",
     "eval_at",
+    "ModalScalar",
+    "ModalVector",
     "dealias",
     "shift",
     "guarded_reciprocal",
@@ -60,9 +64,11 @@ __all__ = [
 DEFAULT_H_FLOOR = 1e-8
 
 # points per (points x modes) phase block of `_phase_blocks`, behind
-# `eval_at`, `galerkin.ModalScalar.eval` and the point side of
-# `galerkin.TrigBasis`
+# `ModalScalar.eval` and the point side of `galerkin.TrigBasis`
 EVAL_CHUNK = 256
+
+# ModalScalar.from_field keeps the modes with |c| > MODE_REL_TOL * max |c|
+MODE_REL_TOL = 1e-14
 
 # index pairs (i, j) of the six distinct entries of a symmetric 3x3 tensor,
 # in the order `GridSpec.div_sym_masked` reads them
@@ -83,15 +89,10 @@ class PositivityError(ValueError):
         self.value = value
 
 
-def _first_bad_index(values: np.ndarray) -> tuple[int, ...]:
-    bad = np.argwhere(~np.isfinite(values))
-    return tuple(int(i) for i in bad[0])
-
-
 def require_finite(values: np.ndarray, name: str = "field") -> None:
     """Reject non-finite data, naming the first offending index."""
     if not np.isfinite(values).all():
-        idx = _first_bad_index(values)
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
         raise FieldDataError(f"{name} has non-finite value at index {idx}: "
                              f"{values[idx]!r}")
 
@@ -372,13 +373,39 @@ def guarded_reciprocal(h: np.ndarray) -> np.ndarray:
     return 1.0 / h
 
 
-def _full_modes(grid: GridSpec, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full complex mode list of one scalar component: (coeffs, wavevectors)."""
-    ch = np.fft.fftn(a) / grid.num_points
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-    kvecs = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=1)
-    return ch.ravel(), kvecs
+# ----------------------------------------------------------------------
+# Shared pointwise algebra, energy integral and exact point evaluation.
+# ----------------------------------------------------------------------
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def vec_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
+
+
+def _matvec(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise M w for a (3, 3, ...) matrix field and a (3, ...) vector."""
+    return np.einsum("ij...,j...->i...", M, w)
+
+
+def _curl_of(jac: np.ndarray) -> np.ndarray:
+    """Curl from a Jacobian [i, j] = d_j v_i: curl_i = J[k, j] - J[j, k]
+    for (i, j, k) cyclic."""
+    return np.stack([jac[2, 1] - jac[1, 2],
+                     jac[0, 2] - jac[2, 0],
+                     jac[1, 0] - jac[0, 1]])
+
+
+def _energy_arrays(h: np.ndarray, *vectors: np.ndarray) -> float:
+    """integral((1 + sum |V|^2) / (2h)) over the vector fields V: the DMHD
+    energy of (h, B) and the ABI entropy of (h, B, D, P)."""
+    r = guarded_reciprocal(h)
+    nsq = sum((V ** 2).sum(0) for V in vectors)
+    return float(((1.0 + nsq) * r * 0.5).mean())
 
 
 def _phase_blocks(pts: np.ndarray, kvecs: np.ndarray):
@@ -415,40 +442,54 @@ def _phase_blocks(pts: np.ndarray, kvecs: np.ndarray):
         yield rows, block
 
 
-def _mode_sum(pts: np.ndarray, coeffs: np.ndarray,
-              kvecs: np.ndarray) -> np.ndarray:
-    """Real part of sum_k c_k exp(2 pi i k.x) at each point, formed
-    EVAL_CHUNK points at a time so the phase block stays bounded."""
-    out = np.empty(pts.shape[0])
-    for rows, phases in _phase_blocks(pts, kvecs):
-        out[rows] = (phases @ coeffs).real
-    return out
+@dataclass(frozen=True)
+class ModalScalar:
+    """Explicit mode list (k, coefficient) of a band-limited scalar field."""
+
+    kvecs: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def from_field(cls, f: ScalarField) -> "ModalScalar":
+        """The modes of f above MODE_REL_TOL of the largest."""
+        g = f.grid
+        c = (np.fft.fftn(f.values) / g.num_points).ravel()
+        k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+        kv = np.stack(np.meshgrid(k, k, k, indexing="ij"), -1).reshape(-1, 3)
+        keep = np.abs(c) > MODE_REL_TOL * np.abs(c).max()
+        return cls(kv[keep], c[keep])
+
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Real part of sum_k c_k exp(2 pi i k.x) at each point, formed
+        EVAL_CHUNK points at a time so the phase block stays bounded."""
+        pts = np.asarray(points, dtype=float)
+        out = np.empty(pts.shape[0])
+        for rows, phases in _phase_blocks(pts, self.kvecs):
+            out[rows] = (phases @ self.coeffs).real
+        return out
+
+
+@dataclass(frozen=True)
+class ModalVector:
+    components: tuple[ModalScalar, ModalScalar, ModalScalar]
+
+    @classmethod
+    def from_field(cls, v: VectorField3) -> "ModalVector":
+        return cls(tuple(ModalScalar.from_field(v.component(i))
+                         for i in range(3)))
+
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return np.stack([c.eval(points) for c in self.components], axis=1)
 
 
 def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
-    """Evaluate a band-limited field exactly at arbitrary points.
-
-    Point coordinates are wrapped into [0,1) rather than rejected. The value
-    is the exact trigonometric sum of the field's modes, so points on grid
-    nodes reproduce the stored samples to round-off.
-
-    Args:
-        f: scalar or vector field (its samples define the mode expansion).
-        points: array of shape (M, 3) or (3,); they are evaluated
-            EVAL_CHUNK at a time against every mode of the field, with the
-            phases built from per-axis factor tables (`_phase_blocks`).
-
-    Returns:
-        (M,) array for a scalar field, (M, 3) for a vector field.
-    """
+    """Exact values of a band-limited field at points (M, 3) or (3,), wrapped
+    into [0,1): the trigonometric sum of its mode list, shape (M,) for a
+    scalar field and (M, 3) for a vector field. Grid nodes reproduce the
+    stored samples to round-off."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)) % 1.0
-    comps = f.values if isinstance(f, VectorField3) else f.values[None]
-    out = np.empty((pts.shape[0], comps.shape[0]))
-    for c in range(comps.shape[0]):
-        out[:, c] = _mode_sum(pts, *_full_modes(f.grid, comps[c]))
-    if isinstance(f, VectorField3):
-        return out
-    return out[:, 0]
+    modal = ModalVector if isinstance(f, VectorField3) else ModalScalar
+    return modal.from_field(f).eval(pts)
 
 
 # ----------------------------------------------------------------------

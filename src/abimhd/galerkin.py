@@ -48,19 +48,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abi import cross3
-from .dmhd import _constitutive_spectra, _energy_arrays
+from .dmhd import _constitutive_spectra
 from .fields import (
     DEFAULT_H_FLOOR,
     SYM_PAIRS,
     FieldDataError,
     GridSpec,
+    ModalScalar,
+    ModalVector,
     PositivityError,
     ScalarField,
     VectorField3,
-    _full_modes,
-    _mode_sum,
+    _curl_of,
+    _energy_arrays,
+    _matvec,
     _phase_blocks,
+    cross3,
 )
 from .stepping import BlowUpError, check_positive, check_step, march, rk4_step
 
@@ -200,9 +203,7 @@ class TrigBasis:
 
     def eval_curl(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         jac = self.eval_jacobian(points, coeffs)
-        return np.stack([jac[:, 2, 1] - jac[:, 1, 2],
-                         jac[:, 0, 2] - jac[:, 2, 0],
-                         jac[:, 1, 0] - jac[:, 0, 1]], axis=1)
+        return _curl_of(jac.transpose(1, 2, 0)).T
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +223,7 @@ def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
     if chi.shape[-1] != n_fun:
         raise FieldDataError(
             f"coefficients need a last axis of {n_fun}, got shape {chi.shape}")
-    if rho.min() <= 0.0:
+    if not rho.min() > 0.0:
         raise PositivityError(
             f"mass operator needs rho > 0, got min {rho.min():g}")
     try:
@@ -232,46 +233,6 @@ def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
             f"weighted Gram factorization failed (loss of positivity): {exc}")
     cols = np.linalg.solve(L.T, np.linalg.solve(L, chi.reshape(-1, n_fun).T))
     return cols.T.reshape(chi.shape)
-
-
-# ----------------------------------------------------------------------
-# Exact evaluation of initial fields at characteristic feet.
-# ----------------------------------------------------------------------
-
-# ModalScalar.from_field keeps the modes with |c| > MODE_REL_TOL * max |c|
-MODE_REL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class ModalScalar:
-    """Explicit mode list (k, coefficient) of a band-limited scalar field."""
-
-    kvecs: np.ndarray
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_field(cls, f: ScalarField) -> "ModalScalar":
-        c, kv = _full_modes(f.grid, f.values)
-        keep = np.abs(c) > MODE_REL_TOL * np.abs(c).max()
-        return cls(kv[keep], c[keep])
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return _mode_sum(np.asarray(points, dtype=float), self.coeffs,
-                         self.kvecs)
-
-
-@dataclass(frozen=True)
-class ModalVector:
-    components: tuple[ModalScalar, ModalScalar, ModalScalar]
-
-    @classmethod
-    def from_field(cls, v: VectorField3) -> "ModalVector":
-        g = v.grid
-        return cls(tuple(ModalScalar.from_field(ScalarField(g, v.values[i]))
-                         for i in range(3)))
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([c.eval(points) for c in self.components], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +411,9 @@ class GalerkinConfig:
         if self.l < 1:
             raise FieldDataError(f"hyperviscosity order must be >= 1, got {self.l}")
         for name in ("dt", "T", "sigma", "picard_tol"):
-            if not getattr(self, name) > 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise FieldDataError(
-                    f"{name} must be > 0, got {getattr(self, name)}")
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.picard_max_iter < 1:
             raise FieldDataError(
                 f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
@@ -491,10 +452,9 @@ def _grid_sources(g: GridSpec, h, B, d, v, eps):
     D, P_hat = _constitutive_spectra(g, h, B)
     inv_eps = 1.0 / eps
     S = inv_eps * D - g.ifft(g.curl_hat(g.fft_masked(h * cross3(d, v))))
-    jac_d = g.jacobian_arr(d)
     N_hat = inv_eps * P_hat
     N_hat -= g.div_sym_masked(h * v[i] * v[j] for i, j in SYM_PAIRS)
-    N_hat += g.fft_masked(h * np.einsum("jxyz,ijxyz->ixyz", d, jac_d))
+    N_hat += g.fft_masked(h * _matvec(g.jacobian_arr(d), d))
     return S, g.ifft(N_hat)
 
 
@@ -619,7 +579,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
     for i, t in enumerate(quad_times):
         h = transport_h(tb, cv_traj, h0_modal, t, g).values
         B = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g).values
-        if h.min() <= DEFAULT_H_FLOOR:
+        if not h.min() > DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
         src_d, src_v = _node_sources(g, tb, cfg, h, B, cd_traj.at(t),

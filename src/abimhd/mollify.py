@@ -28,6 +28,7 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField3,
+    eval_at,
 )
 from .snapshots import read_snapshot
 
@@ -129,7 +130,6 @@ class RoughInitialData:
         if self.h_density is not None:
             out += float((self.h_density.values * f.values).mean())
         if self.atoms:
-            from .fields import eval_at
             pts = np.array([loc for loc, _, _ in self.atoms], dtype=float)
             vals = eval_at(f, pts)
             out += float(sum(m * v for (_, m, _), v in zip(self.atoms, vals)))

@@ -47,21 +47,21 @@ def rk4_step(y: State, dt: float, rhs: Callable[[State], State],
 def check_step(dt: float, dt_max: float, bound: str) -> None:
     """Reject dt beyond the step bound dt_max (named `bound` in the message)
     by more than round-off, suggesting dt_max."""
-    if dt > dt_max * (1.0 + 1e-12):
+    if not dt <= dt_max * (1.0 + 1e-12):
         raise StepSizeError(f"dt={dt:g} violates the {bound} {dt_max:g}",
                             dt_max)
 
 
 def check_positive(h: np.ndarray, dt: float) -> None:
     """Reject a step of dt whose density h lost positivity, suggesting dt/2."""
-    if h.min() <= 0.0:
+    if not h.min() > 0.0:
         raise StepSizeError(
             f"h lost positivity after a step of dt={dt:g}", dt / 2.0)
 
 
 def check_blowup(sup_now: float, sup_initial: float,
                  context: str = "run") -> None:
-    if sup_now > BLOWUP_FACTOR * max(sup_initial, 1.0):
+    if not sup_now <= BLOWUP_FACTOR * max(sup_initial, 1.0):
         raise BlowUpError(
             f"{context}: sup norm {sup_now:.6g} exceeded {BLOWUP_FACTOR:g}x "
             f"the initial scale {sup_initial:.6g}; terminating")

@@ -170,6 +170,17 @@ class TestEntropy:
         fine = ((1.0 + nsq) / (2.0 * hf)).mean()
         assert abs(coarse - fine) < 1e-8
 
+    def test_reduces_to_the_dmhd_energy(self, grid16, rng):
+        # with D = P = 0 the ABI entropy is the Darcy-MHD energy of (h, B),
+        # bit for bit: one function computes both
+        from abimhd.dmhd import DmhdState, energy
+
+        h = ScalarField(grid16,
+                        1.0 + random_band_limited(grid16, rng, 3, 0.4).values)
+        B = random_divergence_free(grid16, rng, 3, 0.6)
+        z = VectorField3.zero(grid16)
+        assert abi_entropy(AbiState(h, B, z, z)) == energy(DmhdState(h, B))
+
     def test_conserved_along_run(self, rng):
         g = GridSpec(16)
         s = smooth_state(g, rng)

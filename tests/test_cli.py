@@ -77,7 +77,90 @@ class TestExitCodes:
         assert (out / "entropy_report_solution.csv").exists()
 
 
+class TestNonFinite:
+    """A nan or infinite config number is a config error, and a nan slack or
+    defect fails its verdict."""
+
+    def test_nan_momentum_offset_is_2(self, tmp_path):
+        # the offset once reached the slack as nan and the run exited 0
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[run]\nt_final = 0.004\n"
+                        "[certify]\nmomentum_offset = nan\n")
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+
+    def test_infinite_horizon_is_2(self, tmp_path):
+        # the step count int(round(inf / dt)) once raised OverflowError
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[run]\nt_final = inf\n")
+        assert main(["dmhd-run", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("sub,keys", [
+        ("dmhd-run", "[run]\ndt = 1e-320\n"),
+        ("galerkin-run", "[galerkin]\ndt = 1e-320\n"),
+        ("galerkin-run", "[galerkin]\ndt = 1e-320\npicard = true\n")])
+    def test_uncountable_steps_are_2(self, tmp_path, sub, keys):
+        # finite keys whose step count overflows once raised OverflowError
+        cfg = write_cfg(tmp_path / "run.cfg", "[grid]\nn = 8\n" + keys)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+
+    def test_nan_slack_is_4(self, tmp_path, monkeypatch):
+        genuine = entropy.dissipative_slack
+
+        def nan_slack(sol, frames):
+            rep = genuine(sol, frames)
+            rep.slack_t = rep.slack_t.copy()
+            rep.slack_t[-1] = float("nan")
+            return rep
+
+        monkeypatch.setattr(entropy, "dissipative_slack", nan_slack)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[run]\nt_final = 0.004\n"
+                        "[certify]\nrandom_frames = 1\n")
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 4
+
+    def test_nan_identity_defect_is_4(self, tmp_path, monkeypatch):
+        genuine = entropy.identity_residual_check
+
+        def nan_defect(sol, frames):
+            chk = genuine(sol, frames)
+            chk.lhs = chk.lhs.copy()
+            chk.lhs[0] = float("nan")
+            return chk
+
+        monkeypatch.setattr(entropy, "identity_residual_check", nan_defect)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 16\n[identity]\nsteps = 3\n")
+        assert main(["identity-check", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 4
+
+
 class TestCertify:
+    def test_quiet_run_skips_the_hoelder_quotient(self, tmp_path,
+                                                  monkeypatch):
+        # the quotient is printed, never written, so --quiet never forms it
+        calls = []
+        genuine = entropy.holder_half_quotient
+
+        def spy(sol):
+            calls.append(sol)
+            return genuine(sol)
+
+        monkeypatch.setattr(entropy, "holder_half_quotient", spy)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[run]\nt_final = 0.004\n")
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / "q"), "--quiet"]) == 0
+        assert calls == []
+        assert main(["certify", "--config", cfg, "--out",
+                     str(tmp_path / "v")]) == 0
+        assert len(calls) == 1
+        assert ((tmp_path / "q" / "certify_summary.csv").read_bytes()
+                == (tmp_path / "v" / "certify_summary.csv").read_bytes())
+
     @pytest.mark.parametrize("bad", ["[certify]\nrandom_frames = -1\n",
                                      "[certify]\nframe_amp = wide\n",
                                      "[scenario]\nkmax = 0\n"])

@@ -48,6 +48,14 @@ class TestTypedAccess:
         with pytest.raises(ConfigError, match="> 0.5"):
             cfg.get_float("eps", exclusive_min=0.5)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_numbers_rejected(self, raw):
+        cfg = RunConfig({"x": raw, "xs": f"0.1 {raw}"})
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.get_float("x")
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.get_float_list("xs")
+
     def test_bool_and_list(self):
         cfg = RunConfig({"flag": "true", "off": "0",
                          "sched": "0.2, 0.1 0.05"})

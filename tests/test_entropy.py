@@ -278,6 +278,22 @@ class TestR0:
         held = static_frames(base, [0.1 * k for k in range(5)])
         assert r0(held) == r0([base])
 
+    def test_held_frames_share_the_base_fields(self, grid16, rng):
+        # the builder the CLI uses makes the family `_holds_previous`
+        # recognises, value-equal to the independent `static_frames`
+        base = random_frame(grid16, rng, amplitude=0.3)
+        times = [0.1 * k for k in range(4)]
+        held = entropy.held_frames(base, times)
+        assert [f.t for f in held] == times
+        refs = static_frames(base, times)
+        for f, prev, ref in zip(held, [None, *held], refs):
+            assert f.h_star_inv is base.h_star_inv and f.v_star is base.v_star
+            assert np.abs(f.dt_h_star_inv.values).max() == 0.0
+            assert np.abs(f.dt_b_star.values).max() == 0.0
+            assert entropy._holds_previous(f, prev) == (prev is not None)
+            assert np.array_equal(f.dt_b_star.values, ref.dt_b_star.values)
+        assert r0(held) == r0([base])
+
 
 class TestLOperator:
     def test_trivial_solution_frame(self, grid16):

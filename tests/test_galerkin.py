@@ -625,6 +625,20 @@ class TestGalerkinRun:
         with pytest.raises(FieldDataError, match=next(iter(bad))):
             GalerkinConfig(N=7, eps=0.1, l=1, **bad)
 
+    @pytest.mark.parametrize("name", ["dt", "T", "sigma", "picard_tol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_parameters(self, name, value):
+        # T = inf overflowed the step count and never ended Picard's
+        # subinterval loop
+        with pytest.raises(FieldDataError, match=f"{name} must be finite"):
+            GalerkinConfig(N=7, eps=0.1, l=1, **{name: value})
+
+    def test_rejects_a_nan_density(self, tb16, grid16):
+        rho = np.ones(grid16.shape)
+        rho[1, 2, 3] = np.nan
+        with pytest.raises(PositivityError):
+            mass_solve(tb16, rho, np.zeros((3, 14)))
+
     def test_low_order_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="abimhd.galerkin"):
             GalerkinConfig(N=3, eps=0.1, l=1)

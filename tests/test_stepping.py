@@ -4,7 +4,14 @@ import pytest
 from abimhd import abi, compare, dmhd, galerkin, stepping
 from abimhd.dmhd import DmhdState, dmhd_run
 from abimhd.fields import FieldDataError, GridSpec, ScalarField, VectorField3
-from abimhd.stepping import BlowUpError, StepSizeError, check_blowup, rk4_step
+from abimhd.stepping import (
+    BlowUpError,
+    StepSizeError,
+    check_blowup,
+    check_positive,
+    check_step,
+    rk4_step,
+)
 from conftest import single_mode_pair
 
 
@@ -45,6 +52,16 @@ def test_check_blowup_raises_past_threshold():
     check_blowup(9.0, 1.0)
     with pytest.raises(BlowUpError, match="sup norm"):
         check_blowup(11.0, 1.0, context="unit")
+
+
+def test_guards_reject_nan():
+    # a state gone non-finite is a numerical abort, not a later field error
+    with pytest.raises(StepSizeError, match="positivity"):
+        check_positive(np.array([1.0, np.nan]), 1e-3)
+    with pytest.raises(StepSizeError, match="bound"):
+        check_step(1e-3, np.nan, "bound")
+    with pytest.raises(BlowUpError, match="sup norm"):
+        check_blowup(np.nan, 1.0)
 
 
 def test_run_detects_blowup(grid16, monkeypatch):
