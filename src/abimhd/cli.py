@@ -154,6 +154,8 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
 
 
 def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
+    import numpy as np
+
     from .fields import GridSpec, VectorField3
     from .galerkin import GalerkinConfig, galerkin_run, picard_iterate
     from .snapshots import write_csv, write_snapshot
@@ -172,10 +174,10 @@ def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     final = traj.states[-1]
     write_snapshot(out / "galerkin_final.abim", grid,
                    [final.h.values, *final.B.values])
-    coeffs = final.d_coeffs.ravel().tolist() + final.v_coeffs.ravel().tolist()
+    coeffs = np.concatenate([final.d_coeffs.ravel(), final.v_coeffs.ravel()])
     with open(out / "galerkin_coefficients.bin", "wb") as fh:
-        fh.write(struct.pack("<Q", len(coeffs)))
-        fh.write(struct.pack(f"<{len(coeffs)}d", *coeffs))
+        fh.write(struct.pack("<Q", coeffs.size))
+        fh.write(coeffs.astype("<f8").tobytes())
     if not quiet:
         lam = traj.lambda_series()
         print(f"galerkin-run: mode={'picard' if gcfg.picard else 'mol'} "

@@ -36,7 +36,7 @@ from .fields import (
     vec_norm,
 )
 from .snapshots import format_float, write_csv
-from .stepping import march
+from .stepping import cumulative_trapezoid, march
 
 __all__ = [
     "RateFit",
@@ -141,10 +141,8 @@ def error_curves(abi_traj: AbiTrajectory,
         inst_P[k + 1] = float(vec_norm(sa.P.values - t * Pk).mean())
 
     all_t = np.concatenate([[0.0], ts])
-    cum_D = np.array([np.trapezoid(inst_D[:j + 2], all_t[:j + 2])
-                      for j in range(len(ts))])
-    cum_P = np.array([np.trapezoid(inst_P[:j + 2], all_t[:j + 2])
-                      for j in range(len(ts))])
+    cum_D = cumulative_trapezoid(inst_D, all_t)[1:]
+    cum_P = cumulative_trapezoid(inst_P, all_t)[1:]
     return ComparisonSeries(ts, err_h, err_B, cum_D, cum_P)
 
 

@@ -54,7 +54,7 @@ from .fields import (
     require_positive,
 )
 from .snapshots import format_float, write_csv
-from .stepping import march, rk4_step
+from .stepping import cumulative_trapezoid, march, rk4_step
 
 __all__ = [
     "TestFieldFrame",
@@ -674,11 +674,8 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame]
     wt = np.exp(-r * sol.times)
     q_int = wt * (quad + r * lam if r > 0.0 else quad)   # 0 * inf is nan
     r_int = wt * lin
-    dt_seg = np.diff(sol.times)
-    lam_tilde = np.concatenate([[0.0],
-                                np.cumsum(0.5 * dt_seg * (q_int[1:] + q_int[:-1]))])
-    R_t = np.concatenate([[0.0],
-                          np.cumsum(0.5 * dt_seg * (r_int[1:] + r_int[:-1]))])
+    lam_tilde = cumulative_trapezoid(q_int, sol.times)
+    R_t = cumulative_trapezoid(r_int, sol.times)
     slack = wt * lam + lam_tilde + R_t - lam[0]
     return EntropyReport(r, r, sol.times.copy(), lam, lam_tilde, R_t, slack)
 

@@ -65,7 +65,14 @@ from .fields import (
     _phase_blocks,
     cross3,
 )
-from .stepping import BlowUpError, check_positive, check_step, march, rk4_step
+from .stepping import (
+    STOP_RTOL,
+    BlowUpError,
+    check_positive,
+    check_step,
+    march,
+    rk4_step,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -96,22 +103,17 @@ def positive_wavevectors(count: int) -> np.ndarray:
 
     The half-lattice keeps one of each +/-k pair: n1 > 0, or n1 = 0 and
     n2 > 0, or n1 = n2 = 0 and n3 > 0. Enumeration is by |k|^2 then
-    lexicographic order, which fixes the basis deterministically.
+    lexicographic order, which fixes the basis deterministically. The box
+    |n_i| <= R = ceil((3 count / 2 pi)^(1/3) + 1) holds the ball of radius R,
+    whose (4 pi/3)(R - sqrt(3)/2)^3 > 2 count lattice points suffice.
     """
-    radius = 1
-    while True:
-        cands = []
-        for n1 in range(0, radius + 1):
-            for n2 in range(-radius, radius + 1):
-                for n3 in range(-radius, radius + 1):
-                    if n1 == 0 and (n2 < 0 or (n2 == 0 and n3 <= 0)):
-                        continue
-                    if n1 * n1 + n2 * n2 + n3 * n3 <= radius * radius:
-                        cands.append((n1, n2, n3))
-        if len(cands) >= count:
-            cands.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2 + k[2] ** 2, k))
-            return np.array(cands[:count], dtype=int)
-        radius += 1
+    R = math.ceil((3.0 * count / (2.0 * math.pi)) ** (1.0 / 3.0) + 1.0)
+    a = np.arange(-R, R + 1)
+    k = np.stack(np.meshgrid(a, a, a, indexing="ij"), axis=-1).reshape(-1, 3)
+    n1, n2, n3 = k.T
+    k = k[(n1 > 0) | ((n1 == 0) & ((n2 > 0) | ((n2 == 0) & (n3 > 0))))]
+    order = np.lexsort((k[:, 2], k[:, 1], k[:, 0], (k ** 2).sum(1)))
+    return k[order[:count]]
 
 
 class TrigBasis:
@@ -129,10 +131,7 @@ class TrigBasis:
         self.N = N
         self.grid = grid
         self.kvecs = k.astype(float)
-        phase = 2.0 * np.pi * (grid.points @ self.kvecs.T)          # (n^3, N)
-        rt2 = math.sqrt(2.0)
-        self.table = np.concatenate([rt2 * np.sin(phase),
-                                     rt2 * np.cos(phase)], axis=1)  # (n^3, 2N)
+        self.table = self._trig_table(grid.points)                  # (n^3, 2N)
         ksq = (self.kvecs ** 2).sum(1)
         self.lam = np.concatenate([ksq, ksq]) * (2.0 * np.pi) ** 2  # -Lap eigenvalues
         self._held = None        # (points, _point_table) of the last point set
@@ -160,8 +159,19 @@ class TrigBasis:
 
     # -- point-side evaluation (exact trigonometric sums) ---------------------
 
+    def _trig_table(self, points: np.ndarray) -> np.ndarray:
+        """Read-only (M, 2N) table of sqrt2 sin, cos of 2 pi k.x at points."""
+        N = self.N
+        tab = np.empty((points.shape[0], 2 * N))
+        for rows, phases in _phase_blocks(points, self.kvecs):
+            tab[rows, :N] = phases.imag
+            tab[rows, N:] = phases.real
+        tab *= math.sqrt(2.0)
+        tab.setflags(write=False)
+        return tab
+
     def _point_table(self, points: np.ndarray) -> np.ndarray:
-        """(sqrt 2 sin, sqrt 2 cos) of 2 pi k.x at the points, shape (M, 2N).
+        """`_trig_table(points)`, memoised.
 
         The table of the last point set is held, keyed on a copy of the
         points, so the calls at one characteristics stage build it once; a
@@ -172,13 +182,7 @@ class TrigBasis:
         held = self._held
         if held is not None and np.array_equal(held[0], pts):
             return held[1]
-        N = self.N
-        tab = np.empty((pts.shape[0], 2 * N))
-        for rows, phases in _phase_blocks(pts, self.kvecs):
-            tab[rows, :N] = phases.imag
-            tab[rows, N:] = phases.real
-        tab *= math.sqrt(2.0)
-        tab.setflags(write=False)
+        tab = self._trig_table(pts)
         self._held = (pts.copy(), tab)
         return tab
 
@@ -241,10 +245,11 @@ def mass_solve(tb: TrigBasis, rho: np.ndarray, chi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CoefficientTrajectory:
-    """Time samples of X_N coefficients with linear interpolation."""
+    """Time samples of X_N coefficients with linear interpolation: (T, 3, 2N)
+    for one vector field, or Picard's (T, 2, 3, 2N) stacks of (d, v)."""
 
     times: np.ndarray            # (T,), increasing
-    coeffs: np.ndarray           # (T, 3, 2N)
+    coeffs: np.ndarray           # (T, ..., 2N)
 
     @classmethod
     def constant(cls, span: tuple[float, float], coeffs: np.ndarray):
@@ -263,7 +268,7 @@ class CoefficientTrajectory:
 
 
 class BasisField:
-    """A time-interpolated X_N field exposing exact point evaluation."""
+    """A time-interpolated X_N field: exact point values and Jacobian."""
 
     def __init__(self, tb: TrigBasis, traj: CoefficientTrajectory):
         self.tb = tb
@@ -272,18 +277,12 @@ class BasisField:
     def eval(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self.tb.eval(pts, self.traj.at(t))
 
-    def div(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self.tb.eval_div(pts, self.traj.at(t))
-
     def jacobian(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self.tb.eval_jacobian(pts, self.traj.at(t))
 
-    def curl(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self.tb.eval_curl(pts, self.traj.at(t))
-
 
 class UniformField:
-    """Constant drift; divergence-free with zero Jacobian and curl."""
+    """Constant drift: zero Jacobian."""
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
@@ -291,14 +290,8 @@ class UniformField:
     def eval(self, t: float, pts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.c, pts.shape).copy()
 
-    def div(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return np.zeros(pts.shape[0])
-
     def jacobian(self, t: float, pts: np.ndarray) -> np.ndarray:
         return np.zeros((pts.shape[0], 3, 3))
-
-    def curl(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return np.zeros_like(pts)
 
 
 def _as_model(tb: TrigBasis, field_like):
@@ -352,8 +345,11 @@ def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
     """
     vm = _as_model(tb, vtraj)
     pts = grid.points
-    feet, J = _march(lambda s, p, _: (vm.eval(s, p), vm.div(s, p)),
-                     t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
+
+    def rates(s, p, _):
+        return vm.eval(s, p), np.trace(vm.jacobian(s, p), axis1=1, axis2=2)
+
+    feet, J = _march(rates, t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
     vals = h0.eval(feet % 1.0) * np.exp(J)
     return ScalarField(grid, vals.reshape(grid.shape))
 
@@ -377,7 +373,8 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
     def rates(s, p, Z, c):
         jac = vm.jacobian(s, p)
         A = jac - np.trace(jac, axis1=1, axis2=2)[:, None, None] * eye
-        return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, dm.curl(s, p))
+        curl_d = _curl_of(dm.jacobian(s, p).transpose(1, 2, 0)).T
+        return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, curl_d)
 
     Z0 = np.broadcast_to(eye, (len(pts), 3, 3))
     feet, Z, c = _march(rates, t, 0.0, (pts, Z0, np.zeros_like(pts)), dt_flow)
@@ -482,14 +479,15 @@ def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig,
             _projected_source(tb, cfg, Ngrid, cv, chi_v))
 
 
-def galerkin_stable_dt(state: GalerkinState, tb: TrigBasis,
+def galerkin_stable_dt(h: np.ndarray, v_coeffs: np.ndarray, tb: TrigBasis,
                        cfg: GalerkinConfig) -> float:
-    """Explicit stability bound: hyperviscous, relaxation and advective rates."""
-    hmin = float(state.h.values.min())
+    """Explicit stability bound at density h and velocity coefficients
+    v_coeffs: hyperviscous, relaxation and advective rates."""
+    hmin = float(h.min())
     lam_max = float(tb.lam.max())
     rate = lam_max ** cfg.l / max(hmin, 1e-30) + 1.0 / cfg.eps
-    vmax = float(np.abs(tb.synthesize(state.v_coeffs)).max())
-    adv = vmax / state.h.grid.spacing
+    vmax = float(np.abs(tb.synthesize(v_coeffs)).max())
+    adv = vmax / tb.grid.spacing
     return 0.5 * 2.8 / (rate + adv + 1.0)
 
 
@@ -537,7 +535,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     y0 = solved((h0.values.copy(), B0.values.copy(), tb.project(D0.values),
                  tb.project(P0.values)))
-    check_step(cfg.dt, galerkin_stable_dt(observe(0.0, y0)[0], tb, cfg),
+    check_step(cfg.dt, galerkin_stable_dt(y0[0][0], y0[1][1], tb, cfg),
                f"hyperviscous (l={cfg.l}) and relaxation (eps={cfg.eps:g}) "
                "step bound")
 
@@ -570,10 +568,12 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
     """One application of the integral fixed-point map on a subinterval, in
     one pass over its nodes: each transports (h, B) along the current
     iterate's velocity, adds its projected sources to the trapezoid time
-    quadrature and mass-solves back to primal coefficients."""
+    quadrature and mass-solves back to primal coefficients. Returns the new
+    iterate and each node's transported (h, B) and accumulated momenta
+    (chi_d, chi_v)."""
     cd_traj = CoefficientTrajectory(z.times, z.coeffs[:, 0])
     cv_traj = CoefficientTrajectory(z.times, z.coeffs[:, 1])
-    hs, Bs = [], []
+    nodes = []
     new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
     chi_d, chi_v = chi_d0, chi_v0
     for i, t in enumerate(quad_times):
@@ -589,11 +589,9 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
             chi_d = chi_d + 0.5 * dt_seg * (prev_d + src_d)
             chi_v = chi_v + 0.5 * dt_seg * (prev_v + src_v)
         new_coeffs[i] = mass_solve(tb, h, np.stack([chi_d, chi_v]))
-        hs.append(h)
-        Bs.append(B)
+        nodes.append((h, B, chi_d, chi_v))
         prev_d, prev_v = src_d, src_v
-    return (CoefficientTrajectory(np.asarray(quad_times), new_coeffs),
-            hs, Bs)
+    return CoefficientTrajectory(np.asarray(quad_times), new_coeffs), nodes
 
 
 def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
@@ -609,10 +607,8 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     g = h0.grid
     tb = TrigBasis(cfg.N, g)
 
-    h_cur = h0
-    B_cur = B0
-    chi_d = tb.project(D0.values)
-    chi_v = tb.project(P0.values)
+    h_cur, B_cur = h0, B0
+    chi_d, chi_v = tb.project(D0.values), tb.project(P0.values)
 
     t_base = 0.0
     sigma = cfg.sigma
@@ -621,21 +617,20 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     samples = [_observation(g, tb, cfg, 0.0, h_cur.values, B_cur.values,
                             cd0, cv0, chi_d, chi_v)]    # (state, row) pairs
 
-    while t_base < cfg.T - 1e-14:
+    while cfg.T - t_base > STOP_RTOL * cfg.T:
         sigma_eff = min(sigma, cfg.T - t_base)
         m = max(3, int(math.ceil(sigma_eff / cfg.dt)) + 1)
         quad_times = np.linspace(0.0, sigma_eff, m)
         h0_modal = ModalScalar.from_field(h_cur)
         B0_modal = ModalVector.from_field(B_cur)
 
-        z = CoefficientTrajectory(
-            np.array([0.0, sigma_eff]),
-            np.stack([np.stack([cd0, cv0])] * 2))
+        z = CoefficientTrajectory.constant((0.0, sigma_eff),
+                                           np.stack([cd0, cv0]))
         residuals: list[float] = []
         converged = False
         for _ in range(cfg.picard_max_iter):
-            z_new, hs, Bs = _k_operator(g, tb, cfg, quad_times, h0_modal,
-                                        B0_modal, chi_d, chi_v, z)
+            z_new, nodes = _k_operator(g, tb, cfg, quad_times, h0_modal,
+                                       B0_modal, chi_d, chi_v, z)
             res = max(float(np.abs(z_new.at(t) - z.at(t)).max())
                       for t in quad_times)
             residuals.append(res)
@@ -657,12 +652,12 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
             continue
 
         # accept the subinterval; record interior samples and restart data
-        for i, t in enumerate(quad_times[1:], start=1):
-            chi_d, chi_v = mass_apply(tb, hs[i], z.coeffs[i])
-            samples.append(_observation(g, tb, cfg, t_base + t, hs[i], Bs[i],
-                                        *z.coeffs[i], chi_d, chi_v))
-        h_cur = ScalarField(g, hs[-1])
-        B_cur = VectorField3(g, Bs[-1])
+        for t, c, (h, B, chi_d, chi_v) in zip(quad_times[1:], z.coeffs[1:],
+                                               nodes[1:]):
+            samples.append(_observation(g, tb, cfg, t_base + t, h, B, *c,
+                                        chi_d, chi_v))
+        h_cur = ScalarField(g, h)
+        B_cur = VectorField3(g, B)
         cd0, cv0 = z.coeffs[-1]
         t_base += sigma_eff
     states, rows = zip(*samples)

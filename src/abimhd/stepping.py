@@ -1,5 +1,5 @@
-"""Shared explicit time stepping: the RK4 step, the marching loop and the
-solver error types."""
+"""Shared explicit time stepping: the RK4 step, the marching loop, the
+running trapezoid quadrature and the solver error types."""
 
 from __future__ import annotations
 
@@ -65,6 +65,12 @@ def check_blowup(sup_now: float, sup_initial: float,
         raise BlowUpError(
             f"{context}: sup norm {sup_now:.6g} exceeded {BLOWUP_FACTOR:g}x "
             f"the initial scale {sup_initial:.6g}; terminating")
+
+
+def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of the samples from times[0] to every time."""
+    steps = 0.5 * np.diff(times) * (values[1:] + values[:-1])
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],

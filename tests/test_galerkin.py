@@ -1,3 +1,4 @@
+import functools
 import logging
 
 import numpy as np
@@ -40,6 +41,25 @@ def tb16(grid16):
     return TrigBasis(7, grid16)
 
 
+@functools.lru_cache(maxsize=None)
+def _sorted_half_ball(radius):
+    cands = [(n1, n2, n3) for n1 in range(radius + 1)
+             for n2 in range(-radius, radius + 1)
+             for n3 in range(-radius, radius + 1)
+             if not (n1 == 0 and (n2 < 0 or (n2 == 0 and n3 <= 0)))
+             and n1 * n1 + n2 * n2 + n3 * n3 <= radius * radius]
+    return sorted(cands, key=lambda k: (k[0] ** 2 + k[1] ** 2 + k[2] ** 2, k))
+
+
+def radius_search_wavevectors(count):
+    """Oracle: grow the radius until the half-ball holds `count` points, then
+    take them in (|k|^2, lexicographic) order."""
+    radius = 1
+    while len(_sorted_half_ball(radius)) < count:
+        radius += 1
+    return np.array(_sorted_half_ball(radius)[:count], dtype=int)
+
+
 def shear_trajectory(tb):
     """v = (sin 2 pi y, 0, 0), constant in time."""
     kv = tb.kvecs
@@ -63,6 +83,22 @@ class TestBasis:
                     or (n1 == 0 and n2 == 0 and n3 > 0))
         norms = (kv ** 2).sum(1)
         assert np.all(np.diff(norms) >= 0)
+
+    def test_enumeration_matches_the_radius_search(self):
+        for count in range(1, 1001):
+            assert np.array_equal(positive_wavevectors(count),
+                                  radius_search_wavevectors(count)), count
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_table_is_the_direct_trig_table(self, n):
+        grid = GridSpec(n)
+        for N in (7, 33, 81):
+            tb = TrigBasis(N, grid)
+            phase = 2.0 * np.pi * (grid.points @ tb.kvecs.T)
+            direct = np.sqrt(2.0) * np.concatenate([np.sin(phase),
+                                                    np.cos(phase)], axis=1)
+            assert np.abs(tb.table - direct).max() <= 1e-14
+            assert not tb.table.flags.writeable
 
     def test_orthonormality(self, grid16):
         for N in (7, 33):
@@ -688,6 +724,67 @@ class TestPicard:
         assert np.abs(sp.h.values - sm.h.values).max() < 1e-5
         assert np.abs(sp.B.values - sm.B.values).max() < 1e-5
         assert np.abs(sp.v_coeffs - sm.v_coeffs).max() < 1e-5
+
+    def test_samples_keep_the_accumulated_momenta(self):
+        # each accepted sample's kinetic term <c, chi> reads the momenta the
+        # quadrature accumulated; they equal <h c, basis> to round-off
+        grid = GridSpec(8)
+        h0, B0 = single_mode_pair(grid)
+        zero = VectorField3.zero(grid)
+        cfg = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=1.2e-3,
+                             picard=True, picard_tol=1e-11, sigma=4e-4)
+        traj = picard_iterate(h0, B0, zero, zero, cfg)
+        tb = TrigBasis(cfg.N, grid)
+        assert len(traj.states) == 7
+        for state, row in zip(traj.states[1:], traj.diagnostics[1:]):
+            ref = sum(float((c * mass_apply(tb, state.h.values, c)).sum())
+                      for c in (state.d_coeffs, state.v_coeffs))
+            assert ref > 0.0
+            assert abs(row[2] - ref) <= 1e-12 * ref
+
+    def test_one_gram_build_per_node_and_sweep(self, monkeypatch):
+        # one at t = 0, then one mass solve per node of every sweep; the
+        # accepted nodes build no Gram matrix of their own
+        from abimhd import galerkin as gk
+
+        grid = GridSpec(8)
+        h0, B0 = single_mode_pair(grid)
+        zero = VectorField3.zero(grid)
+        cfg = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=1.2e-3,
+                             picard=True, picard_tol=1e-11, sigma=1.2e-3)
+        grams, sweeps = [], []
+        gram, k_operator = TrigBasis.gram, gk._k_operator
+        monkeypatch.setattr(TrigBasis, "gram",
+                            lambda tb, rho: grams.append(1) or gram(tb, rho))
+        monkeypatch.setattr(gk, "_k_operator",
+                            lambda *a: sweeps.append(1) or k_operator(*a))
+        picard_iterate(h0, B0, zero, zero, cfg)
+        m = 7                                   # ceil(sigma / dt) + 1 nodes
+        assert len(sweeps) >= 2
+        assert len(grams) == 1 + len(sweeps) * m
+
+    def test_lands_on_T_by_the_relative_rule(self, monkeypatch):
+        # 256 subintervals of 0.01 accumulate t_base = 2.56 only to within
+        # a few ulp; the run must end there rather than add a sliver
+        from abimhd import galerkin as gk
+
+        grid = GridSpec(4)
+        h0 = ScalarField.constant(grid, 1.0)
+        zero = VectorField3.zero(grid)
+
+        def converged(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d,
+                      chi_v, z):
+            nodes = [(h0.values, zero.values, chi_d, chi_v)] * len(quad_times)
+            coeffs = np.stack([z.at(t) for t in quad_times])
+            return CoefficientTrajectory(quad_times, coeffs), nodes
+
+        monkeypatch.setattr(gk, "_k_operator", converged)
+        cfg = GalerkinConfig(N=1, eps=0.1, l=1, dt=0.01, T=2.56, picard=True,
+                             sigma=0.01)
+        traj = picard_iterate(h0, zero, zero, zero, cfg)
+        assert len(traj.times) == 513
+        assert traj.times[-1] == pytest.approx(2.56, rel=1e-12)
+        assert np.diff(traj.times).min() > 0.004
 
     def test_residuals_shrink_monotonically(self, grid16, monkeypatch):
         from abimhd import galerkin as gk

@@ -10,6 +10,7 @@ from abimhd.stepping import (
     check_blowup,
     check_positive,
     check_step,
+    cumulative_trapezoid,
     rk4_step,
 )
 from conftest import single_mode_pair
@@ -46,6 +47,16 @@ def test_rk4_takes_the_first_stage_it_is_handed():
     assert len(calls) == 3
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
+
+
+def test_cumulative_trapezoid_matches_prefix_trapezoids(rng):
+    times = np.cumsum(rng.uniform(0.01, 1.0, 50))
+    values = rng.standard_normal(50)
+    ref = np.array([np.trapezoid(values[:j + 1], times[:j + 1])
+                    for j in range(50)])
+    got = cumulative_trapezoid(values, times)
+    assert got[0] == 0.0
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_check_blowup_raises_past_threshold():
