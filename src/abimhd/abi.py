@@ -12,15 +12,14 @@ density h > 0, magnetic induction B, electric displacement D and momentum
 The algebraic relations P = D x B and h = sqrt(1 + B^2 + D^2 + P^2) are
 propagated invariants of smooth solutions: they are monitored, never
 projected. The symmetric quadratic form in the variables
-(tau, b, d, v) = (1/h, B/h, D/h, P/h) is available as `nc_rhs`, together
-with its string (tau = d = 0) and inviscid Burgers (tau = b = d = 0)
-reductions.
+(tau, b, d, v) = (1/h, B/h, D/h, P/h) is available as `nc_rhs`, which
+takes its string (tau = d = 0) and inviscid Burgers (tau = b = d = 0)
+reductions on states where those fields vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -219,9 +218,6 @@ def abi_run(s0: AbiState, dt: float, n_steps: int,
 # Non-conservative symmetric form and its reductions.
 # ----------------------------------------------------------------------
 
-Reduction = Literal["none", "string", "burgers"]
-
-
 @dataclass(frozen=True)
 class NonConsState:
     tau: ScalarField
@@ -247,23 +243,22 @@ def _advect(g: GridSpec, vel: np.ndarray, f: np.ndarray) -> np.ndarray:
     return g.dealias_arr(_matvec(g.jacobian_arr(f), vel))
 
 
-def nc_rhs(s: NonConsState, reduction: Reduction = "none") -> NcTendency:
+def nc_rhs(s: NonConsState) -> NcTendency:
+    """Tendency of (tau, b, d, v); a state with tau = d = 0 takes the string
+    reduction, and with b = 0 as well the Burgers one."""
     g = s.grid
     da = g.dealias_arr
     v = s.v.values
-    zeros_s = np.zeros(g.shape)
-    zeros_v = np.zeros((3, *g.shape))
-    if reduction == "burgers":
-        return NcTendency(zeros_s, zeros_v, zeros_v, -_advect(g, v, v))
     b = s.b.values
-    if reduction == "string":
+    tau = s.tau.values
+    d = s.d.values
+    if not tau.any() and not d.any():
+        zeros_s, zeros_v = np.zeros(g.shape), np.zeros((3, *g.shape))
+        if not b.any():
+            return NcTendency(zeros_s, zeros_v, zeros_v, -_advect(g, v, v))
         db = -_advect(g, v, b) + _advect(g, b, v)
         dv = -_advect(g, v, v) + _advect(g, b, b)
         return NcTendency(zeros_s, db, zeros_v, dv)
-    if reduction != "none":
-        raise ValueError(f"unknown reduction {reduction!r}")
-    tau = s.tau.values
-    d = s.d.values
     grad_tau = g.grad_arr(tau)
     db = -_advect(g, v, b) + _advect(g, b, v) - da(tau * g.curl_arr(d))
     dd = -_advect(g, v, d) + _advect(g, d, v) + da(tau * g.curl_arr(b))

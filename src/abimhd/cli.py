@@ -187,7 +187,7 @@ def _cmd_galerkin_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
 
 def _cmd_mollify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .fields import GridSpec
-    from .mollify import RoughInitialData, lambda_monotonicity_check, mollify
+    from .mollify import RoughInitialData, lambda_monotonicity_check
     from .snapshots import format_float, write_csv, write_snapshot
 
     grid = GridSpec(cfg.get_int("grid.n", 32))
@@ -196,8 +196,7 @@ def _cmd_mollify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     data = RoughInitialData.parse(text, grid, Path(data_path).parent)
     schedule = cfg.get_float_list("mollify.eps_schedule", [0.2, 0.1, 0.05])
     report = lambda_monotonicity_check(data, schedule)
-    for eps in schedule:
-        h_eps, B_eps = mollify(data, eps)
+    for eps, (h_eps, B_eps) in zip(report.eps_schedule, report.mollified):
         write_snapshot(out / f"mollified_eps{eps:g}.abim", grid,
                        [h_eps.values, *B_eps.values])
     footer = ()

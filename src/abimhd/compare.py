@@ -57,14 +57,16 @@ def abi_run_at_times(s0: AbiState, sample_times: Sequence[float],
                      cfl_fraction: float = 0.5) -> AbiTrajectory:
     """March the conservative system, landing exactly on each sample time."""
     return AbiTrajectory(*march(s0, abi_step, sample_times,
-                                lambda s: cfl_fraction * abi_cfl_dt(s)))
+                                lambda s: cfl_fraction * abi_cfl_dt(s),
+                                sup=AbiState.sup_scale))
 
 
 def dmhd_run_at_times(s0: DmhdState, sample_times: Sequence[float],
                       cfl_fraction: float = 0.5) -> DmhdTrajectory:
     """March the diffusion system, landing exactly on each sample time."""
     return DmhdTrajectory(*march(s0, dmhd_step, sample_times,
-                                 lambda s: cfl_fraction * dmhd_cfl_dt(s)))
+                                 lambda s: cfl_fraction * dmhd_cfl_dt(s),
+                                 sup=DmhdState.sup_scale))
 
 
 @dataclass

@@ -347,7 +347,8 @@ def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
     pts = grid.points
 
     def rates(s, p, _):
-        return vm.eval(s, p), np.trace(vm.jacobian(s, p), axis1=1, axis2=2)
+        jac = vm.jacobian(s, p)
+        return vm.eval(s, p), jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
 
     feet, J = _march(rates, t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
     vals = h0.eval(feet % 1.0) * np.exp(J)
@@ -372,7 +373,8 @@ def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
 
     def rates(s, p, Z, c):
         jac = vm.jacobian(s, p)
-        A = jac - np.trace(jac, axis1=1, axis2=2)[:, None, None] * eye
+        div = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
+        A = jac - div[:, None, None] * eye
         curl_d = _curl_of(dm.jacobian(s, p).transpose(1, 2, 0)).T
         return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, curl_d)
 

@@ -62,16 +62,16 @@ def _check_eps(eps: float) -> None:
 
 
 def _gaussian_sum(points: np.ndarray, eps: float, shells: int) -> np.ndarray:
-    """Periodized Gaussian evaluated at arbitrary points, shape (M,)."""
-    norm = eps ** -3 * (2.0 * math.pi) ** -1.5
-    out = np.zeros(points.shape[0])
-    rng = range(-shells, shells + 1)
-    for kx in rng:
-        for ky in rng:
-            for kz in rng:
-                d = points + np.array([kx, ky, kz], dtype=float)
-                out += np.exp(-(d ** 2).sum(1) / (2.0 * eps ** 2))
-    return norm * out
+    """Periodized Gaussian evaluated at arbitrary points, shape (M,).
+
+    The sum over the shift cube |k_a| <= shells factors exactly into one
+    1-D sum over the 2 shells + 1 shifts per axis (a product of truncated
+    1-D theta functions)."""
+    out = eps ** -3 * (2.0 * math.pi) ** -1.5
+    for coord in points.T:
+        d = coord[:, None] + np.arange(-shells, shells + 1)
+        out = out * np.exp(-d ** 2 / (2.0 * eps ** 2)).sum(1)
+    return out
 
 
 def periodized_gaussian(grid: GridSpec, eps: float,
@@ -138,70 +138,72 @@ class RoughInitialData:
     @classmethod
     def parse(cls, text: str, grid: GridSpec,
               base_dir: str | Path = ".") -> "RoughInitialData":
-        """Parse the text format: optional ``density <snapshot>`` line, then
-        ``atoms <count>`` and one ``x y z m`` or ``x y z m1 m2 m3 m4`` line
-        per atom."""
-        h_density = None
-        B_density = None
-        atoms = []
+        """Parse the text format: an optional ``density <snapshot>`` line
+        naming a 1-field (h0) or 4-field (h0, B0) snapshot, then
+        ``atoms <count>`` and exactly count atom lines, each ``x y z m`` or
+        ``x y z m bx by bz``: a scalar mass, then the atom's vector mass for
+        B. A malformed file raises FieldDataError."""
         lines = [ln.strip() for ln in text.splitlines()
                  if ln.strip() and not ln.strip().startswith("#")]
-        i = 0
-        if i < len(lines) and lines[i].startswith("density"):
-            ref = lines[i].split(None, 1)[1]
-            sgrid, comps = read_snapshot(Path(base_dir) / ref)
+        rows = [ln.split() for ln in lines]
+        h_density = B_density = None
+        if rows and rows[0][0] == "density":
+            if len(rows[0]) < 2:
+                raise FieldDataError('expected a "density <snapshot>" line')
+            sgrid, comps = read_snapshot(
+                Path(base_dir) / lines[0].split(None, 1)[1])
             if sgrid != grid:
                 raise FieldDataError(
                     f"density snapshot grid {sgrid.n} does not match {grid.n}")
+            if len(comps) not in (1, 4):
+                raise FieldDataError(
+                    f"density snapshot must hold 1 or 4 fields, got {len(comps)}")
             h_density = ScalarField(grid, comps[0])
             if len(comps) == 4:
                 B_density = VectorField3(grid, np.stack(comps[1:]))
-            i += 1
-        if i >= len(lines) or not lines[i].startswith("atoms"):
+            rows = rows[1:]
+        if not rows or rows[0][0] != "atoms" or len(rows[0]) != 2:
             raise FieldDataError('expected an "atoms <count>" header line')
-        count = int(lines[i].split()[1])
-        i += 1
-        for j in range(count):
-            parts = [float(x) for x in lines[i + j].split()]
-            if len(parts) == 4:
-                atoms.append((tuple(parts[:3]), parts[3], None))
-            elif len(parts) == 7:
-                atoms.append((tuple(parts[:3]), parts[3], tuple(parts[4:])))
-            else:
+        try:
+            count = int(rows[0][1])
+            nums = [[float(x) for x in row] for row in rows[1:]]
+        except ValueError as exc:
+            raise FieldDataError(f"rough data: {exc}") from None
+        if count != len(nums):
+            raise FieldDataError(
+                f"atoms header counts {count}, file has {len(nums)} atom lines")
+        for j, parts in enumerate(nums):
+            if len(parts) not in (4, 7):
                 raise FieldDataError(
                     f"atom line {j} must have 4 or 7 numbers, got {len(parts)}")
+        atoms = [(tuple(p[:3]), p[3], tuple(p[4:]) if len(p) == 7 else None)
+                 for p in nums]
         return cls(grid, h_density, B_density, tuple(atoms))
 
 
-def _convolve(grid: GridSpec, values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.fft(values) * grid.fft(kernel)) / grid.num_points
-
-
-def mollify(data: RoughInitialData, eps: float,
-            shells: int | None = None) -> tuple[ScalarField, VectorField3]:
+def mollify(data: RoughInitialData,
+            eps: float) -> tuple[ScalarField, VectorField3]:
     """Smooth the rough data: densities by spectral convolution with the
     periodized Gaussian, atoms as translated kernel copies scaled by mass."""
     _check_eps(eps)
     g = data.grid
-    k = gaussian_shell_count(eps) if shells is None else shells
-    kernel = periodized_gaussian(g, eps, k).values
+    shells = gaussian_shell_count(eps)
+    pts = g.points
+    # the kernel's spectrum, scaled so a product with a spectrum convolves
+    kernel_hat = g.fft(periodized_gaussian(g, eps).values) / g.num_points
 
     h = np.zeros(g.shape)
     B = np.zeros((3, *g.shape))
     if data.h_density is not None:
-        h += _convolve(g, data.h_density.values, kernel)
+        h += g.ifft(g.fft(data.h_density.values) * kernel_hat)
     if data.B_density is not None:
-        for i in range(3):
-            B[i] = _convolve(g, data.B_density.values[i], kernel)
-    if data.atoms:
-        pts = g.points
-        for loc, m, vec in data.atoms:
-            bump = _gaussian_sum(pts - np.asarray(loc, dtype=float),
-                                 eps, k).reshape(g.shape)
-            h += m * bump
-            if vec is not None:
-                for i in range(3):
-                    B[i] += vec[i] * bump
+        B += g.ifft(g.fft(data.B_density.values) * kernel_hat)
+    for loc, m, vec in data.atoms:
+        bump = _gaussian_sum(pts - np.asarray(loc, dtype=float),
+                             eps, shells).reshape(g.shape)
+        h += m * bump
+        if vec is not None:
+            B += np.multiply.outer(vec, bump)
     return ScalarField(g, h), VectorField3(g, B)
 
 
@@ -210,6 +212,7 @@ class MonotonicityReport:
     eps_schedule: list[float]
     lambda_values: list[float]
     reference: float | None   # modulated energy of the rough data, if finite
+    mollified: list[tuple[ScalarField, VectorField3]]   # (h, B) per width
 
     def bounded_by_reference(self, tol: float = 1e-10) -> bool:
         if self.reference is None:
@@ -217,32 +220,31 @@ class MonotonicityReport:
         return all(v <= self.reference + tol for v in self.lambda_values)
 
 
-def lambda_monotonicity_check(data: RoughInitialData, eps_schedule,
-                              reference: float | None = None
-                              ) -> MonotonicityReport:
+def lambda_monotonicity_check(data: RoughInitialData,
+                              eps_schedule) -> MonotonicityReport:
     """Modulated energy of the mollified data along a decreasing eps schedule.
 
     For pure density data the rough reference integral((1+|B0|^2)/(2 h0)) is
     computed directly (+inf marker if h0 vanishes against |U0| > 0); for
-    atomic data the caller supplies a reference upper value, or None to log
-    the trend only. Every width is checked before anything is computed.
+    atomic data there is no reference and the trend is logged only. Every
+    width is checked before anything is computed, and each is mollified once.
     """
     for eps in eps_schedule:
         _check_eps(eps)
-    if reference is None and any(vec is not None for _, _, vec in data.atoms):
+    if any(vec is not None for _, _, vec in data.atoms):
         logger.info("atomic vector data: finiteness of the rough modulated "
                     "energy depends on mutual absolute continuity and is "
                     "not adjudicated; trend logged only")
-    if reference is None and not data.atoms and data.h_density is not None:
-        U = np.concatenate([np.ones((1, *data.grid.shape)),
-                            np.zeros((3, *data.grid.shape))
-                            if data.B_density is None
-                            else data.B_density.values])
-        reference = lambda_functional(data.h_density, U,
-                                      h_floor=LAMBDA_H_FLOOR)
-    values = []
-    for eps in eps_schedule:
-        h_eps, B_eps = mollify(data, eps)
-        U_eps = np.concatenate([np.ones((1, *data.grid.shape)), B_eps.values])
-        values.append(lambda_functional(h_eps, U_eps, h_floor=LAMBDA_H_FLOOR))
-    return MonotonicityReport(list(eps_schedule), values, reference)
+
+    def energy(h: ScalarField, B: VectorField3) -> float:
+        U = np.concatenate([np.ones((1, *h.grid.shape)), B.values])
+        return lambda_functional(h, U, h_floor=LAMBDA_H_FLOOR)
+
+    reference = None
+    if not data.atoms and data.h_density is not None:
+        reference = energy(data.h_density, VectorField3.zero(data.grid)
+                           if data.B_density is None else data.B_density)
+    mollified = [mollify(data, eps) for eps in eps_schedule]
+    values = [energy(h, B) for h, B in mollified]
+    return MonotonicityReport(list(eps_schedule), values, reference,
+                              mollified)

@@ -252,7 +252,7 @@ class TestNonConservative:
 
         def rhs(y):
             state = NonConsState(zero_s, zero_v, zero_v, VectorField3(g, y[0]))
-            return (nc_rhs(state, "burgers").dv,)
+            return (nc_rhs(state).dv,)
 
         for _ in range(n):
             (v,) = rk4_step((v,), dt, rhs)
@@ -268,17 +268,51 @@ class TestNonConservative:
                          VectorField3.constant(grid16, b),
                          VectorField3.zero(grid16),
                          VectorField3.constant(grid16, vv))
-        t = nc_rhs(s, "string")
+        t = nc_rhs(s)
         assert np.abs(t.db).max() == 0.0
         assert np.abs(t.dv).max() == 0.0
         assert np.abs(t.dtau).max() == 0.0
+
+    def test_reductions_read_from_the_state(self, grid16, rng):
+        # tau = d = 0 takes the string reduction and b = 0 as well the
+        # Burgers one; each equals the full form on such states bit for bit
+        from abimhd.abi import _advect
+
+        g = grid16
+        da = g.dealias_arr
+
+        def rough_vector():
+            return np.stack([random_band_limited(g, rng, 3, 1.0).values
+                             for _ in range(3)])
+
+        v = rough_vector()
+        tau = np.zeros(g.shape)
+        d = np.zeros((3, *g.shape))
+        for b in (rough_vector(), np.zeros((3, *g.shape))):
+            t = nc_rhs(NonConsState(ScalarField(g, tau), VectorField3(g, b),
+                                    VectorField3(g, d), VectorField3(g, v)))
+            grad_tau = g.grad_arr(tau)
+            full = (
+                -da((v * grad_tau).sum(0)) + da(tau * g.div_arr(v)),
+                -_advect(g, v, b) + _advect(g, b, v) - da(tau * g.curl_arr(d)),
+                -_advect(g, v, d) + _advect(g, d, v) + da(tau * g.curl_arr(b)),
+                (-_advect(g, v, v) + _advect(g, b, b) + _advect(g, d, d)
+                 + da(tau * grad_tau)),
+            )
+            for got, want in zip((t.dtau, t.db, t.dd, t.dv), full):
+                assert np.array_equal(got, want)
+            if b.any():
+                # the string reduction keeps the magnetic tension +(b.grad)b
+                tension = _advect(g, b, b)
+                assert np.abs(tension).max() > 0.1
+                assert np.abs(t.dv + _advect(g, v, v) - tension).max() < 1e-12
 
     def test_full_system_constant_stationary(self, grid16):
         s = NonConsState(ScalarField.constant(grid16, 0.5),
                          VectorField3.constant(grid16, (0.1, 0.2, 0.0)),
                          VectorField3.constant(grid16, (0.0, 0.1, 0.3)),
                          VectorField3.constant(grid16, (0.2, 0.0, 0.1)))
-        t = nc_rhs(s, "none")
+        t = nc_rhs(s)
         for arr in (t.dtau, t.db, t.dd, t.dv):
             assert np.abs(arr).max() == 0.0
 
@@ -292,7 +326,7 @@ class TestNonConservative:
         s = AbiState(h, B, D, P)
         direct = abi_rhs(s)
         nc = nc_from_abi(s)
-        mapped = abi_tendency_from_nc(nc, nc_rhs(nc, "none"))
+        mapped = abi_tendency_from_nc(nc, nc_rhs(nc))
         for a, b in ((direct.dh, mapped.dh), (direct.dB, mapped.dB),
                      (direct.dD, mapped.dD), (direct.dP, mapped.dP)):
             assert np.abs(a - b).max() < 1e-8

@@ -154,7 +154,7 @@ def test_criterion_4_burgers_reduction():
 
     def rhs(y):
         state = NonConsState(zero_s, zero_v, zero_v, VectorField3(g, y[0]))
-        return (nc_rhs(state, "burgers").dv,)
+        return (nc_rhs(state).dv,)
 
     for _ in range(n):
         (v,) = rk4_step((v,), t_end / n, rhs)

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from abimhd import abi, compare, dmhd, entropy, galerkin
 from abimhd.cli import main
+from abimhd.fields import GridSpec
 from abimhd.snapshots import read_snapshot
 
 
@@ -242,6 +244,52 @@ class TestOtherSubcommands:
                      "--quiet"]) == 0
         assert (out / "mollified_eps0.2.abim").exists()
         assert (out / "lambda_monotonicity.csv").exists()
+
+    def test_mollify_computes_each_width_once(self, tmp_path, monkeypatch):
+        import abimhd.mollify as mollify_mod
+
+        calls = []
+        real = mollify_mod.mollify
+
+        def counted(data, eps):
+            calls.append(eps)
+            return real(data, eps)
+
+        monkeypatch.setattr(mollify_mod, "mollify", counted)
+        data = tmp_path / "data.txt"
+        data.write_text("atoms 2\n0.5 0.5 0.5 1.0\n0.2 0.3 0.4 0.5 0.1 0.0 0.2\n")
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n"
+                        f"[mollify]\ndata = {data}\n"
+                        "eps_schedule = 0.2 0.1 0.05\n")
+        out = tmp_path / "o"
+        assert main(["mollify", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        assert calls == [0.2, 0.1, 0.05]
+        rough = mollify_mod.RoughInitialData.parse(data.read_text(),
+                                                   GridSpec(8))
+        for eps in calls:
+            _, comps = read_snapshot(out / f"mollified_eps{eps:g}.abim")
+            h, B = real(rough, eps)
+            assert np.array_equal(comps[0], h.values)
+            assert np.array_equal(np.stack(comps[1:]), B.values)
+
+    @pytest.mark.parametrize("text", [
+        "atoms 3\n0.5 0.5 0.5 1.0\n",
+        "atoms 1\n0.5 0.5 0.5 1.0\n0.2 0.2 0.2 1.0\n",
+        "atoms x\n0.5 0.5 0.5 1.0\n",
+        "atoms 1\n0.5 half 0.5 1.0\n",
+        "density\natoms 1\n0.5 0.5 0.5 1.0\n",
+    ])
+    def test_mollify_malformed_data_is_2(self, tmp_path, text):
+        data = tmp_path / "data.txt"
+        data.write_text(text)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        f"[grid]\nn = 8\n[mollify]\ndata = {data}\n")
+        out = tmp_path / "o"
+        assert main(["mollify", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+        assert not list(out.glob("*.abim"))
 
     def test_compare(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from abimhd import compare
 from abimhd.abi import AbiState, AbiTrajectory
+from abimhd.cli import main
 from abimhd.compare import (
     error_curves,
     fit_rate,
     rescaled_test_fields,
     run_sampled,
 )
+from abimhd.dmhd import DmhdState
 from abimhd.fields import (
     FieldDataError,
     GridSpec,
     ScalarField,
     VectorField3,
 )
+from abimhd.stepping import BlowUpError
 from conftest import single_mode_pair
 
 
@@ -152,3 +156,29 @@ class TestMeasuredRates:
         for e in (series.cum_err_D, series.cum_err_P):
             ratios = best_pair(e)
             assert np.any((ratios >= 0.7 * 16.0) & (ratios <= 1.3 * 16.0))
+
+
+class TestBlowUpGuard:
+    def test_runaway_step_aborts_as_numeric(self, tmp_path, monkeypatch):
+        # a step that doubles B trips the blow-up guard within a few steps
+        # instead of shrinking the CFL step until the fields overflow
+        steps = []
+
+        def runaway(s, dt):
+            steps.append(dt)
+            return AbiState(s.h, VectorField3(s.h.grid, 2.0 * s.B.values),
+                            s.D, s.P)
+
+        monkeypatch.setattr(compare, "abi_step", runaway)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 8\n")
+        assert main(["compare", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 3
+        assert len(steps) <= 10
+
+    def test_diffusion_run_is_guarded(self, grid16, monkeypatch):
+        monkeypatch.setattr(compare, "dmhd_step", lambda s, dt: DmhdState(
+            s.h, VectorField3(s.h.grid, 2.0 * s.B.values)))
+        h0, B0 = single_mode_pair(grid16)
+        with pytest.raises(BlowUpError, match="sup norm"):
+            compare.dmhd_run_at_times(DmhdState(h0, B0), [0.01, 0.02])

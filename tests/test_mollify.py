@@ -11,12 +11,27 @@ from abimhd.fields import (
 )
 from abimhd.mollify import (
     RoughInitialData,
+    _gaussian_sum,
     gaussian_shell_count,
     lambda_monotonicity_check,
     mollify,
     periodized_gaussian,
 )
 from abimhd.snapshots import write_snapshot
+
+
+def shift_cube_sum(points, eps, shells):
+    """The periodized Gaussian summed over every shift of the cube
+    |k_a| <= shells, one 3-D exponential per shift."""
+    norm = eps ** -3 * (2.0 * math.pi) ** -1.5
+    out = np.zeros(points.shape[0])
+    rng = range(-shells, shells + 1)
+    for kx in rng:
+        for ky in rng:
+            for kz in rng:
+                d = points + np.array([kx, ky, kz], dtype=float)
+                out += np.exp(-(d ** 2).sum(1) / (2.0 * eps ** 2))
+    return norm * out
 
 
 class TestKernel:
@@ -35,6 +50,16 @@ class TestKernel:
         a = periodized_gaussian(grid32, eps, shells=k).values
         b = periodized_gaussian(grid32, eps, shells=k + 1).values
         assert np.abs(a - b).max() < 1e-15
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_separable_sum_matches_shift_cube(self, rng, eps, extra):
+        # the per-axis product equals the (2s+1)^3 shift sum to round-off
+        pts = rng.uniform(-1.0, 1.0, (200, 3))
+        shells = gaussian_shell_count(eps) + extra
+        ref = shift_cube_sum(pts, eps, shells)
+        got = _gaussian_sum(pts, eps, shells)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.3])
     def test_rejects_bad_width(self, grid32, eps):
@@ -155,6 +180,21 @@ class TestLambdaMonotonicity:
             lambda_monotonicity_check(data, schedule)
         assert calls == []
 
+    def test_report_carries_each_mollified_width(self, grid16, rng):
+        dens = ScalarField(
+            grid16, 1.0 + 0.5 * random_band_limited(grid16, rng, 2, 1.0).values)
+        data = RoughInitialData(
+            grid16, h_density=dens,
+            B_density=random_divergence_free(grid16, rng, 2, 0.3),
+            atoms=(((0.3, 0.7, 0.2), 0.5, (0.1, -0.2, 0.3)),))
+        schedule = [0.2, 0.1, 0.05]
+        rep = lambda_monotonicity_check(data, schedule)
+        assert len(rep.mollified) == len(schedule)
+        for eps, (h, B) in zip(schedule, rep.mollified):
+            h_ref, B_ref = mollify(data, eps)
+            assert np.array_equal(h.values, h_ref.values)
+            assert np.array_equal(B.values, B_ref.values)
+
     def test_weak_star_consistency(self, grid32, rng):
         dens = ScalarField(
             grid32, 1.0 + 0.5 * random_band_limited(grid32, rng, 2, 1.0).values)
@@ -196,3 +236,28 @@ class TestTextFormat:
     def test_parse_rejects_bad_atom_line(self, grid16):
         with pytest.raises(FieldDataError, match="4 or 7"):
             RoughInitialData.parse("atoms 1\n0.1 0.2 0.3\n", grid16)
+
+    @pytest.mark.parametrize("text", [
+        "atoms 3\n0.1 0.2 0.3 1.0\n",                       # truncated list
+        "atoms 1\n0.1 0.2 0.3 1.0\n0.5 0.5 0.5 2.0\n",     # extra atom line
+        "atoms three\n0.1 0.2 0.3 1.0\n",                   # non-numeric count
+        "atoms 1\n0.1 zero 0.3 1.0\n",                      # non-numeric coordinate
+        "atoms\n0.1 0.2 0.3 1.0\n",                         # count missing
+        "density\natoms 1\n0.1 0.2 0.3 1.0\n",             # bare density line
+    ])
+    def test_parse_rejects_malformed_file(self, grid16, text):
+        with pytest.raises(FieldDataError):
+            RoughInitialData.parse(text, grid16)
+
+    def test_parse_rejects_negative_count(self, grid16, tmp_path):
+        write_snapshot(tmp_path / "h0.abim", grid16, [np.ones(grid16.shape)])
+        with pytest.raises(FieldDataError, match="counts -3"):
+            RoughInitialData.parse("density h0.abim\natoms -3\n", grid16,
+                                   tmp_path)
+
+    def test_parse_rejects_two_field_density(self, grid16, tmp_path):
+        ones = np.ones(grid16.shape)
+        write_snapshot(tmp_path / "h0.abim", grid16, [ones, ones])
+        with pytest.raises(FieldDataError, match="1 or 4 fields"):
+            RoughInitialData.parse("density h0.abim\natoms 0\n", grid16,
+                                   tmp_path)
