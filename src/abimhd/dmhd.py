@@ -81,11 +81,11 @@ class DmhdState:
 
 def _constitutive_spectra(g: GridSpec, h: np.ndarray, B: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """D and the masked spectrum of P: 10 forward, 3 inverse transforms."""
+    """D and the band spectrum of P: 10 forward, 3 inverse transforms."""
     r = guarded_reciprocal(h)
-    D = g.ifft(g.curl_hat(g.fft_masked(B * r)))
+    D = g.ifft(g.curl_hat(g.fft(B * r, band=True)))
     P_hat = g.div_sym_masked(B[i] * B[j] * r for i, j in SYM_PAIRS)
-    P_hat += g.grad_hat(g.fft_masked(r))
+    P_hat += g.grad_hat(g.fft(r, band=True))
     return D, P_hat
 
 
@@ -105,7 +105,7 @@ def _induction_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
     """dt B = -curl(B x (P/h) + D/h), the one induction law, with P/h
     dealiased before the product: 6 forward, 6 inverse transforms."""
     r = guarded_reciprocal(h)
-    flux = g.fft_masked(cross3(B, g.dealias_arr(P * r)) + D * r)
+    flux = g.fft(cross3(B, g.dealias_arr(P * r)) + D * r, band=True)
     return -g.ifft(g.curl_hat(flux))
 
 

@@ -269,10 +269,10 @@ def q_decomposition_defect(frame: TestFieldFrame) -> float:
     rhs = _forcing(frame, der)
     rhs[0] -= frame.dt_h_star_inv.values
     rhs[1:4] -= frame.dt_b_star.values
-    rhs[0] += g.ifft(g.div_hat(g.fft_masked(cross3(d, b) - tau * v)))
-    rhs[1:4] -= g.ifft(g.grad_hat(g.fft_masked((b * v).sum(0))))
+    rhs[0] += g.ifft(g.div_hat(g.fft(cross3(d, b) - tau * v, band=True)))
+    rhs[1:4] -= g.ifft(g.grad_hat(g.fft((b * v).sum(0), band=True)))
     rhs[4:7] += d
-    u_sq_hat = g.fft_masked(tau * tau + (b * b).sum(0))
+    u_sq_hat = g.fft(tau * tau + (b * b).sum(0), band=True)
     rhs[7:10] += v + 0.5 * g.ifft(g.grad_hat(u_sq_hat))
     return float(np.abs(qw - rhs).max())
 

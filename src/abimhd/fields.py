@@ -3,12 +3,16 @@
 Fields are real samples on a uniform n x n x n grid (row-major over x, y, z).
 All differential operators act through the real FFT, so derivatives are exact
 for band-limited data. Pointwise products are formed in physical space and
-masked by the 2/3 rule in spectral space (Orszag 1971): a product that is
-differentiated next is transformed once, and the mask and the derivative
-symbol 2 pi i k act on its spectrum before the single inverse transform
-(`fft_masked` followed by `curl_hat`, `div_hat` or `grad_hat`, and
-`div_sym_masked` for symmetric tensors). Divisions by a density are done in physical space behind a
-positivity guard.
+dealiased by the 2/3 rule (Orszag 1971): a product that is differentiated
+next is transformed once into its band spectrum (`fft(a, band=True)`), which
+holds only the kept modes |k_i| <= m = n//3, shape (..., 2m+1, 2m+1, m+1).
+The derivative symbol 2 pi i k acts on the band (`curl_hat`, `div_hat`,
+`grad_hat`, and `div_sym_masked` for symmetric tensors) before the single
+inverse transform, and `ifft` tells a band spectrum from a full one by its
+last axis. The band transforms skip the FFT lines known to be zero (pruning,
+Markel 1971) and keep numpy's axis order, so they equal the masked full
+transforms bit for bit. Divisions by a density are done in physical space
+behind a positivity guard.
 
 Point evaluation sums a field's mode list exactly, without spreading to a
 grid (the exact counterpart of a type-2 nonuniform FFT): `ModalScalar` and
@@ -165,30 +169,56 @@ class GridSpec:
         """(2 pi |k|)^2, the symbol of -Laplacian."""
         return (2.0 * np.pi) ** 2 * (self._kx ** 2 + self._ky ** 2 + self._kz ** 2)
 
+    # A band spectrum holds the modes that the 2/3 rule keeps, |k_i| <= m =
+    # n//3: kx and ky at the FFT-order lines 0..m, -m..-1 and kz at 0..m.
+
+    @property
+    def _band_shape(self) -> tuple[int, int, int]:
+        m = self.n // 3
+        return (2 * m + 1, 2 * m + 1, m + 1)
+
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep modes with |k_i| <= n//3 on every axis."""
-        kmax = self.n // 3
-        return ((np.abs(self._kx) <= kmax)
-                & (np.abs(self._ky) <= kmax)
-                & (np.abs(self._kz) <= kmax))
+    def _band_lines(self) -> np.ndarray:
+        """Indices of the kept kx (and ky) lines in the full layout."""
+        m = self.n // 3
+        return np.r_[0:m + 1, self.n - m:self.n]
+
+    @cached_property
+    def _band_at(self) -> tuple:
+        """Index of a band spectrum's modes in the full layout."""
+        lines = self._band_lines
+        return (Ellipsis, *np.ix_(lines, lines, np.arange(self._band_shape[2])))
 
     # ------------------------------------------------------------------
     # Raw-array spectral kernels. Solvers use these on plain ndarrays; the
     # public operations below wrap them with the field types and checks.
     # ------------------------------------------------------------------
 
-    def fft(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(a, axes=(-3, -2, -1))
+    def fft(self, a: np.ndarray, band: bool = False) -> np.ndarray:
+        """Spectrum of `a`; with `band`, its 2/3-rule band spectrum: rfft
+        along z, then fft along y on the kept kz columns and along x on the
+        kept (ky, kz) lines."""
+        if not band:
+            return np.fft.rfftn(a, axes=(-3, -2, -1))
+        lines = self._band_lines
+        ah = np.fft.rfftn(a, axes=(-1,))[..., :self._band_shape[2]]
+        ah = np.fft.fft(ah, axis=-2).take(lines, axis=-2)
+        return np.fft.fft(ah, axis=-3).take(lines, axis=-3)
 
     def ifft(self, ah: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(ah, s=self.shape, axes=(-3, -2, -1))
-
-    def fft_masked(self, a: np.ndarray) -> np.ndarray:
-        """Spectrum of `a` with the 2/3-rule mask applied."""
-        ah = self.fft(a)
-        ah *= self.dealias_mask
-        return ah
+        """Physical values of a full or band spectrum (told apart by the
+        last axis, n//2+1 or n//3+1). A band spectrum is scattered into x
+        lines, inverted along x on its (ky, kz) lines, along y on its kz
+        columns, and along z by irfft, which pads kz itself."""
+        if ah.shape[-1] != self._band_shape[2]:
+            return np.fft.irfftn(ah, s=self.shape, axes=(-3, -2, -1))
+        n, lines = self.n, self._band_lines
+        lead, kz = ah.shape[:-3], ah.shape[-1]
+        ax = np.zeros((*lead, n, len(lines), kz), dtype=complex)
+        ax[..., lines, :, :] = ah
+        ay = np.zeros((*lead, n, n, kz), dtype=complex)
+        ay[..., lines, :] = np.fft.ifft(ax, axis=-3)
+        return np.fft.irfftn(np.fft.ifft(ay, axis=-2), s=(n,), axes=(-1,))
 
     @cached_property
     def _ik(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,37 +226,49 @@ class GridSpec:
         two_pi_i = 2j * np.pi
         return two_pi_i * self._kx, two_pi_i * self._ky, two_pi_i * self._kz
 
-    # Spectral-input kernels: they map spectra to spectra, so a caller can
-    # sum several terms before one inverse transform.
+    @cached_property
+    def _ik_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        dx, dy, dz = self._ik
+        lines = self._band_lines
+        return dx[lines], dy[:, lines], dz[..., :self._band_shape[2]]
+
+    def _symbols(self, ah: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The derivative symbols in the layout of the spectrum `ah`."""
+        band = ah.shape[-1] == self._band_shape[2]
+        return self._ik_band if band else self._ik
+
+    # Spectral-input kernels: they map spectra to spectra of the same
+    # layout, so a caller can sum several terms before one inverse transform.
 
     def grad_hat(self, ah: np.ndarray) -> np.ndarray:
-        dx, dy, dz = self._ik
+        dx, dy, dz = self._symbols(ah)
         return np.stack([ah * dx, ah * dy, ah * dz])
 
     def div_hat(self, vh: np.ndarray) -> np.ndarray:
-        dx, dy, dz = self._ik
+        dx, dy, dz = self._symbols(vh)
         return vh[0] * dx + vh[1] * dy + vh[2] * dz
 
     def curl_hat(self, vh: np.ndarray) -> np.ndarray:
-        dx, dy, dz = self._ik
+        dx, dy, dz = self._symbols(vh)
         return np.stack([dy * vh[2] - dz * vh[1],
                          dz * vh[0] - dx * vh[2],
                          dx * vh[1] - dy * vh[0]])
 
     def div_sym_masked(self, entries: Iterable[np.ndarray]) -> np.ndarray:
-        """Spectrum of the row divergence d_j T_ij of a symmetric tensor,
-        with its entries masked by the 2/3 rule.
+        """Band spectrum of the row divergence d_j T_ij of a symmetric
+        tensor, with its entries dealiased by the 2/3 rule.
 
         `entries` yields the six distinct entries T_ij in SYM_PAIRS order,
         in physical space; each is transformed once, and a generator keeps
         only one of them alive at a time.
         """
-        out = np.zeros((3, self.n, self.n, self.n // 2 + 1), dtype=complex)
+        out = np.zeros((3, *self._band_shape), dtype=complex)
+        ik = self._ik_band
         for (i, j), t in zip(SYM_PAIRS, entries):
-            th = self.fft_masked(t)
-            out[i] += self._ik[j] * th
+            th = self.fft(t, band=True)
+            out[i] += ik[j] * th
             if i != j:
-                out[j] += self._ik[i] * th
+                out[j] += ik[i] * th
         return out
 
     def deriv(self, a: np.ndarray, axis: int) -> np.ndarray:
@@ -245,7 +287,7 @@ class GridSpec:
         return self.ifft(self.fft(v) * self._k_squared_4pi2 ** order)
 
     def dealias_arr(self, a: np.ndarray) -> np.ndarray:
-        return self.ifft(self.fft_masked(a))
+        return self.ifft(self.fft(a, band=True))
 
     def jacobian_arr(self, v: np.ndarray) -> np.ndarray:
         """Gradient of a vector field with (i, j) entry d_j v_i, shape (3,3,n,n,n)."""

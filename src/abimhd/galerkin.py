@@ -14,7 +14,7 @@ system
 while (h, B) advance classically by the continuity and induction equations.
 The right-hand sides curl(B/h) = D and div(B (x) B / h) + grad(1/h) = P are
 the DMHD constitutive law, taken from `dmhd._constitutive_spectra`, and every
-product is transformed once and masked by the 2/3 rule in spectral space.
+product is transformed once, into its 2/3-rule band spectrum.
 Both drivers share these grid sources and one projection
 project(S) - lambda^l c - chi/eps; chi is the method-of-lines state, or
 <h c, basis> of the transported density at a Picard quadrature node.
@@ -450,10 +450,10 @@ def _grid_sources(g: GridSpec, h, B, d, v, eps):
     transforms."""
     D, P_hat = _constitutive_spectra(g, h, B)
     inv_eps = 1.0 / eps
-    S = inv_eps * D - g.ifft(g.curl_hat(g.fft_masked(h * cross3(d, v))))
+    S = inv_eps * D - g.ifft(g.curl_hat(g.fft(h * cross3(d, v), band=True)))
     N_hat = inv_eps * P_hat
     N_hat -= g.div_sym_masked(h * v[i] * v[j] for i, j in SYM_PAIRS)
-    N_hat += g.fft_masked(h * _matvec(g.jacobian_arr(d), d))
+    N_hat += g.fft(h * _matvec(g.jacobian_arr(d), d), band=True)
     return S, g.ifft(N_hat)
 
 
@@ -473,8 +473,11 @@ def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig,
     d = tb.synthesize(cd)
     v = tb.synthesize(cv)
 
-    dh = -g.ifft(g.div_hat(g.fft_masked(h * v)))
-    dB = -g.ifft(g.curl_hat(g.fft_masked(cross3(B, v)) + g.fft(d)))
+    dh = -g.ifft(g.div_hat(g.fft(h * v, band=True)))
+    # the band of B x v added into the full spectrum of d, in place
+    flux = g.fft(d)
+    flux[g._band_at] += g.fft(cross3(B, v), band=True)
+    dB = -g.ifft(g.curl_hat(flux))
 
     S, Ngrid = _grid_sources(g, h, B, d, v, cfg.eps)
     return (dh, dB, _projected_source(tb, cfg, S, cd, chi_d),

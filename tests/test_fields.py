@@ -208,6 +208,78 @@ class TestInvariants:
         assert np.abs(div(V).values).max() < 1e-10
 
 
+BAND_SIZES = [4, 6, 8, 16, 32, 48]
+LEADING = [(), (3,), (6,), (3, 3)]
+
+
+def kept_modes(n):
+    """Boolean mask of the 2/3-rule modes in the rfftn layout, and m."""
+    m = n // 3
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    kz = np.fft.rfftfreq(n, d=1.0 / n)
+    mask = (k[:, None, None] <= m) & (k[None, :, None] <= m) & (kz <= m)
+    return mask, m
+
+
+def band_of(full, n):
+    """The kept modes of a full spectrum, in band layout."""
+    mask, m = kept_modes(n)
+    lead = full.shape[:-3]
+    return full[..., mask].reshape(*lead, 2 * m + 1, 2 * m + 1, m + 1)
+
+
+class TestBandSpectrum:
+    """The band transforms against numpy's full rfftn/irfftn, on random
+    full-spectrum data that also fills the Nyquist planes: every kept
+    coefficient and every physical value must be bit-identical."""
+
+    @pytest.mark.parametrize("lead", LEADING)
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_forward_keeps_the_rfftn_modes(self, n, lead, rng):
+        g = GridSpec(n)
+        a = rng.standard_normal((*lead, *g.shape))
+        full = np.fft.rfftn(a, axes=(-3, -2, -1))
+        assert np.array_equal(g.fft(a, band=True), band_of(full, n))
+
+    @pytest.mark.parametrize("lead", LEADING)
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_inverse_is_irfftn_of_the_zero_filled_modes(self, n, lead, rng):
+        g = GridSpec(n)
+        mask, _ = kept_modes(n)
+        full = np.fft.rfftn(rng.standard_normal((*lead, *g.shape)),
+                            axes=(-3, -2, -1))
+        filled = np.zeros_like(full)
+        filled[..., mask] = full[..., mask]
+        want = np.fft.irfftn(filled, s=g.shape, axes=(-3, -2, -1))
+        assert np.array_equal(g.ifft(band_of(full, n)), want)
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_full_spectra_keep_the_irfftn_path(self, n, rng):
+        g = GridSpec(n)
+        full = g.fft(rng.standard_normal((3, *g.shape)))
+        want = np.fft.irfftn(full, s=g.shape, axes=(-3, -2, -1))
+        assert np.array_equal(g.ifft(full), want)
+
+    @pytest.mark.parametrize("n", BAND_SIZES)
+    def test_derivatives_agree_on_the_kept_modes(self, n, rng):
+        g = GridSpec(n)
+        v = rng.standard_normal((3, *g.shape))
+        full, band = g.fft(v), g.fft(v, band=True)
+        for op in (g.grad_hat, g.div_hat, g.curl_hat):
+            assert np.array_equal(op(band), band_of(op(full), n))
+        assert np.array_equal(g.grad_hat(band[0]),
+                              band_of(g.grad_hat(full[0]), n))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_dealias_is_the_masked_round_trip(self, n, rng):
+        g = GridSpec(n)
+        mask, _ = kept_modes(n)
+        a = rng.standard_normal((3, *g.shape))
+        want = np.fft.irfftn(np.fft.rfftn(a, axes=(-3, -2, -1)) * mask,
+                             s=g.shape, axes=(-3, -2, -1))
+        assert np.array_equal(g.dealias_arr(a), want)
+
+
 class TestGuards:
     def test_reciprocal_guard_names_index(self, grid16):
         h = np.ones(grid16.shape)

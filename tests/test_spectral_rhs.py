@@ -320,9 +320,9 @@ def transforms(monkeypatch):
     for name in ("fft", "ifft"):
         orig = getattr(GridSpec, name)
 
-        def counted(self, a, _orig=orig):
+        def counted(self, a, *args, _orig=orig, **kwargs):
             tally.append(int(np.prod(np.shape(a)[:-3])))
-            return _orig(self, a)
+            return _orig(self, a, *args, **kwargs)
 
         monkeypatch.setattr(GridSpec, name, counted)
 
@@ -411,3 +411,38 @@ def test_slack_derives_each_distinct_frame_once(transforms):
     z = np.zeros((3, 3, *g.shape))
     sol = SampleTrajectory(g, times, h, z, z, z)
     assert transforms(dissipative_slack, sol, frames) <= 3 * 56
+
+
+def test_transforms_per_rhs_pinned(monkeypatch):
+    """(forward, inverse) scalar transforms of each right-hand side, counted
+    where the bench tracer counts them: at GridSpec.fft and GridSpec.ifft,
+    band transforms included. These are the machine-independent cost of
+    each RHS; a change to them is deliberate."""
+    tally = {"fft": 0, "ifft": 0}
+    for name in tally:
+        orig = getattr(GridSpec, name)
+
+        def counted(self, a, *args, _name=name, _orig=orig, **kwargs):
+            tally[_name] += int(np.prod(np.shape(a)[:-3]))
+            return _orig(self, a, *args, **kwargs)
+
+        monkeypatch.setattr(GridSpec, name, counted)
+
+    def split(fn, *args):
+        before = dict(tally)
+        fn(*args)
+        return tally["fft"] - before["fft"], tally["ifft"] - before["ifft"]
+
+    s = smooth_state()
+    g, h, B = s.grid, s.h.values, s.B.values
+    assert split(dmhd_rhs, fresh(s)) == (16, 13)
+    assert split(dmhd._constitutive_spectra, g, h, B) == (10, 3)
+    D, P = s.constitutive_pair
+    assert split(dmhd._induction_arrays, g, h, B, D, P) == (6, 6)
+    assert split(abi_rhs, AbiState(s.h, s.B, VectorField3(g, D),
+                                   VectorField3(g, P))) == (16, 10)
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(16, "band", 7)
+    d, v = tb.synthesize(cd), tb.synthesize(cv)
+    assert split(galerkin._grid_sources, g, h, B, d, v, cfg.eps) == (25, 18)
+    y = (h, B, galerkin.mass_apply(tb, h, cd), galerkin.mass_apply(tb, h, cv))
+    assert split(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) == (34, 22)
