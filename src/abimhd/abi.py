@@ -100,15 +100,16 @@ class AbiTendency:
 
 def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray, D: np.ndarray,
                 P: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tendencies of (h, B, D, P): 16 forward, 10 inverse transforms."""
+    """Tendencies of (h, B, D, P): 16 forward, 10 inverse transforms. Each
+    band flux is dropped once inverted, and the signs flip in place."""
     r = guarded_reciprocal(h)
-    flux_B = g.fft((cross3(B, P) + D) * r, band=True)
-    flux_D = g.fft((cross3(D, P) - B) * r, band=True)
-    dP = -g.div_sym_masked((P[i] * P[j] - B[i] * B[j] - D[i] * D[j]) * r
-                           for i, j in SYM_PAIRS)
-    dP += g.grad_hat(g.fft(r, band=True))
-    return (-g.div_arr(P), -g.ifft(g.curl_hat(flux_B)),
-            -g.ifft(g.curl_hat(flux_D)), g.ifft(dP))
+    dB = g.ifft(g.curl_hat(g.fft((cross3(B, P) + D) * r, band=True)))
+    dD = g.ifft(g.curl_hat(g.fft((cross3(D, P) - B) * r, band=True)))
+    dP = g.div_sym_masked((P[i] * P[j] - B[i] * B[j] - D[i] * D[j]) * r
+                          for i, j in SYM_PAIRS)
+    dP -= g.grad_hat(g.fft(r, band=True))
+    return tuple(np.negative(a, out=a)
+                 for a in (g.div_arr(P), dB, dD, g.ifft(dP)))
 
 
 def abi_rhs(s: AbiState) -> AbiTendency:

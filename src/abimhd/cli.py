@@ -69,14 +69,17 @@ def _scenario_pair(cfg: RunConfig, grid, rng, default_amp=(0.2, 0.3)):
             grid, lambda x, y, z: 1.0 + amp_h * np.cos(2 * np.pi * x))
         B0 = VectorField3.from_function(
             grid, lambda x, y, z: (0 * x, amp_B * np.sin(2 * np.pi * x), 0 * x))
-        return h0, B0
-    if name == "random_smooth":
+    elif name == "random_smooth":
         kmax = cfg.get_int("scenario.kmax", 2, minimum=1)
         base = random_band_limited(grid, rng, kmax, amp_h)
         h0 = ScalarField(grid, 1.0 + base.values)
         B0 = random_divergence_free(grid, rng, kmax, amp_B)
-        return h0, B0
-    raise ConfigError(f"unknown scenario {name!r}")
+    else:
+        raise ConfigError(f"unknown scenario {name!r}")
+    if not h0.values.min() > 0.0:
+        raise ConfigError(f"scenario.amp_h = {amp_h:g} gives an initial "
+                          f"density h with min {h0.values.min():.6g} <= 0")
+    return h0, B0
 
 
 def _abi_initial(cfg: RunConfig, grid, rng):
@@ -224,9 +227,10 @@ def _cmd_compare(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     t_max = cfg.get_float("compare.t_max", 0.1, exclusive_min=t_min)
     count = cfg.get_int("compare.samples", 8, minimum=4)
     ts = list(np.geomspace(t_min, t_max, count))
-    abi_traj, dmhd_traj = run_sampled(
-        h0, B0, ts, cfl_fraction=cfg.get_float("compare.cfl_fraction", 1.0,
-                                               exclusive_min=0.0))
+    cfl = cfg.get_float("compare.cfl_fraction", 1.0, exclusive_min=0.0)
+    if not cfl <= 1.0:      # a longer step never passes the step guard
+        raise ConfigError(f"compare.cfl_fraction must be <= 1, got {cfl:g}")
+    abi_traj, dmhd_traj = run_sampled(h0, B0, ts, cfl_fraction=cfl)
     series = error_curves(abi_traj, dmhd_traj)
     slopes = {
         "h": fit_rate(series.times, series.err_h).slope,

@@ -1,8 +1,10 @@
 """Shared explicit time stepping: the RK4 step, the marching loop, the
-running trapezoid quadrature and the solver error types."""
+running trapezoid quadrature and the solver error types. An RK4 step holds
+y, one running sum of its tendencies, one stage and the RHS's transient."""
 
 from __future__ import annotations
 
+from operator import iadd, imul
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -31,17 +33,24 @@ STOP_RTOL = 1e-12       # a step lands on a stop within this share of the stop
 
 def rk4_step(y: State, dt: float, rhs: Callable[[State], State],
              k1: State | None = None) -> State:
-    """One classical Runge-Kutta step on a tuple of arrays.
+    """One classical Runge-Kutta step on a tuple of arrays (or floats).
 
     k1 is rhs(y) when the caller already holds it; it is derived otherwise.
+    The running sum ((k1 + 2 k2) + 2 k3) + k4 keeps the textbook order and
+    grows in place once each next stage is formed; y and k1 are only read.
     """
     if k1 is None:
         k1 = rhs(y)
-    k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    k = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
+    acc = [b1 + 2.0 * b2 for b1, b2 in zip(k1, k)]
+    del k1
+    for c, w in ((0.5, 2.0), (1.0, None)):      # k4 is added unscaled
+        stage = tuple(a + c * dt * b for a, b in zip(y, k))
+        del k
+        k = rhs(stage)
+        del stage
+        acc = [iadd(s, b if w is None else w * b) for s, b in zip(acc, k)]
+    return tuple(iadd(imul(s, dt / 6.0), a) for a, s in zip(y, acc))
 
 
 def check_step(dt: float, dt_max: float, bound: str) -> None:

@@ -403,6 +403,30 @@ class TestOneHomePerRule:
                      "--quiet"]) == 2
         assert solver_calls == []
 
+    @pytest.mark.parametrize("fraction", ["1.0000001", "3"])
+    def test_cfl_fraction_above_one_exits_before_the_run(
+            self, tmp_path, solver_calls, fraction):
+        # a step longer than the bound can never pass the step guard
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n"
+                        f"[compare]\ncfl_fraction = {fraction}\n")
+        assert main(["compare", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert solver_calls == []
+
+    @pytest.mark.parametrize("sub", ["dmhd-run", "abi-run"])
+    @pytest.mark.parametrize("scenario, amp_h", [("single_mode", 1.0),
+                                                 ("random_smooth", 3.0)])
+    def test_nonpositive_initial_density_exits_before_the_run(
+            self, tmp_path, solver_calls, capsys, sub, scenario, amp_h):
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        f"[scenario]\nname = {scenario}\namp_h = {amp_h}\n"
+                        "[grid]\nn = 8\n")
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        assert solver_calls == []
+        assert "scenario.amp_h" in capsys.readouterr().err
+
     def test_mollifier_widths_checked_by_mollify(self, tmp_path):
         data = tmp_path / "data.txt"
         data.write_text("atoms 1\n0.5 0.5 0.5 1.0\n")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,73 @@ def test_rk4_takes_the_first_stage_it_is_handed():
     assert len(calls) == 3
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
+
+
+def textbook_rk4(y, dt, rhs):
+    """Classical RK4 as four tendencies summed at the end, the oracle."""
+    k1 = rhs(y)
+    k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
+    k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
+    k4 = rhs(tuple(a + dt * b for a, b in zip(y, k3)))
+    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def mixed_rhs(s):
+    """Tendencies of a (time, writable array, read-only array) state; the
+    last comes back read-only, like a tendency a caller keeps."""
+    t, u, w = s
+    return (1.0, np.sin(u) * w.sum() + t, read_only(np.cos(w) - u[:2] * t))
+
+
+def mixed_state():
+    return (0.25, np.array([0.3, -0.7, 1.1]), read_only([1.5, -0.2]))
+
+
+@pytest.mark.parametrize("with_k1", [False, True])
+def test_rk4_matches_the_textbook_sum_bit_for_bit(with_k1):
+    y = mixed_state()
+    k1 = mixed_rhs(y) if with_k1 else None
+    held = [*y[1:], *(k1[1:] if with_k1 else ())]
+    before = [a.tobytes() for a in held]
+    got = rk4_step(y, 0.05, mixed_rhs, k1=k1)
+    want = textbook_rk4(y, 0.05, mixed_rhs)
+    assert type(got[0]) is float and got[0] == want[0]
+    for a, b in zip(got[1:], want[1:], strict=True):
+        assert a.tobytes() == b.tobytes()
+    # the state and a handed-in first stage come back unmodified
+    assert [a.tobytes() for a in held] == before
+
+
+@pytest.mark.parametrize("with_k1", [False, True])
+def test_rk4_keeps_one_sum_and_one_stage_alive(with_k1):
+    # weakrefs to every tendency and stage array an rhs call saw: at each
+    # call, besides y, only the running sum (k1 before the second tendency
+    # exists) and the call's own stage may be alive
+    y = (np.linspace(0.0, 1.0, 64), np.ones((3, 8)))
+    tendencies, stages, alive = [], [], []
+
+    def rhs(s):
+        alive.append((sum(r() is not None for r in tendencies),
+                      sum(r() is not None for r in stages)))
+        stages.extend(weakref.ref(a) for a in s
+                      if not any(a is b for b in y))
+        k = (np.sin(s[0]), s[1] * s[0][:8])
+        tendencies.extend(weakref.ref(a) for a in k)
+        return k
+
+    k1 = (np.sin(y[0]), y[1] * y[0][:8]) if with_k1 else None
+    out = rk4_step(y, 0.1, rhs, k1=k1)
+    first = [] if with_k1 else [(0, 0)]
+    assert alive == first + [(0 if with_k1 else 2, 0), (0, 0), (0, 0)]
+    assert all(r() is None for r in tendencies + stages)
+    assert len(out) == 2
 
 
 def test_cumulative_trapezoid_matches_prefix_trapezoids(rng):
