@@ -15,11 +15,12 @@ transforms bit for bit. Divisions by a density are done in physical space
 behind a positivity guard.
 
 Point evaluation sums a field's mode list exactly, without spreading to a
-grid (the exact counterpart of a type-2 nonuniform FFT): `ModalScalar` and
-`ModalVector` keep the modes above MODE_REL_TOL of the largest, and `eval_at`
-evaluates them. The phases are separable: `_phase_blocks` takes
-exp(2 pi i k_a x_a) over the distinct |k_a| of each axis and multiplies the
-three factors of every mode in place, EVAL_CHUNK points at a time, for
+grid (the exact counterpart of a type-2 nonuniform FFT): `ModalScalar` keeps
+one mode list for all components, the union of their modes above
+MODE_REL_TOL of their largest, and `eval_at` evaluates it. The phases are
+separable: `_phase_blocks` takes exp(2 pi i k_a x_a) over the distinct |k_a|
+of each axis and multiplies the three factors of every mode in place,
+EVAL_CHUNK points at a time, each block serving every component, for
 `ModalScalar.eval` and the point side of `galerkin.TrigBasis`. The pointwise
 vector algebra and the energy integral that the solvers share live here too.
 
@@ -486,42 +487,41 @@ def _phase_blocks(pts: np.ndarray, kvecs: np.ndarray):
 
 @dataclass(frozen=True)
 class ModalScalar:
-    """Explicit mode list (k, coefficient) of a band-limited scalar field."""
+    """Explicit mode list of a band-limited field: wavevectors (modes, 3)
+    shared by its k components, coefficients (modes,) or (modes, k)."""
 
     kvecs: np.ndarray
     coeffs: np.ndarray
 
     @classmethod
-    def from_field(cls, f: ScalarField) -> "ModalScalar":
-        """The modes of f above MODE_REL_TOL of the largest."""
-        g = f.grid
-        c = (np.fft.fftn(f.values) / g.num_points).ravel()
+    def from_field(cls, f: ScalarField | VectorField3) -> "ModalScalar":
+        return cls.from_values(f.grid, f.values)
+
+    @classmethod
+    def from_values(cls, g: GridSpec, values: np.ndarray) -> "ModalScalar":
+        """The union of the modes above MODE_REL_TOL of their component's
+        largest in values (n, n, n) or (k, n, n, n), zero where not kept."""
+        c = np.fft.fftn(values, axes=(-3, -2, -1)) / g.num_points
+        flat = c.reshape(-1, g.num_points)
+        mag = np.abs(flat)
+        kept = mag > MODE_REL_TOL * mag.max(axis=1, keepdims=True)
+        keep = kept.any(0)
         k = np.fft.fftfreq(g.n, d=1.0 / g.n)
         kv = np.stack(np.meshgrid(k, k, k, indexing="ij"), -1).reshape(-1, 3)
-        keep = np.abs(c) > MODE_REL_TOL * np.abs(c).max()
-        return cls(kv[keep], c[keep])
+        coeffs = np.where(kept, flat, 0)[:, keep].T.copy()
+        return cls(kv[keep], coeffs.reshape(-1) if values.ndim == 3 else coeffs)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Real part of sum_k c_k exp(2 pi i k.x) at each point, formed
-        EVAL_CHUNK points at a time so the phase block stays bounded."""
+        """Real part of sum_k c_k exp(2 pi i k.x) at each point, (M,) or
+        (M, k), in one pass over EVAL_CHUNK-point phase blocks."""
         pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape[0])
+        out = np.empty((pts.shape[0], *self.coeffs.shape[1:]))
         for rows, phases in _phase_blocks(pts, self.kvecs):
             out[rows] = (phases @ self.coeffs).real
         return out
 
 
-@dataclass(frozen=True)
-class ModalVector:
-    components: tuple[ModalScalar, ModalScalar, ModalScalar]
-
-    @classmethod
-    def from_field(cls, v: VectorField3) -> "ModalVector":
-        return cls(tuple(ModalScalar.from_field(v.component(i))
-                         for i in range(3)))
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([c.eval(points) for c in self.components], axis=1)
+ModalVector = ModalScalar     # the mode list of a VectorField3 has k = 3
 
 
 def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
@@ -530,8 +530,7 @@ def eval_at(f: ScalarField | VectorField3, points: np.ndarray) -> np.ndarray:
     scalar field and (M, 3) for a vector field. Grid nodes reproduce the
     stored samples to round-off."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64)) % 1.0
-    modal = ModalVector if isinstance(f, VectorField3) else ModalScalar
-    return modal.from_field(f).eval(pts)
+    return ModalScalar.from_field(f).eval(pts)
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,12 @@ coefficient system, the default) and `picard_iterate` (the fixed-point map
 z -> K[z] over subintervals, with characteristics transport of (h, B) and
 time-quadrature of the sources; kept for small N where it mirrors the
 constructive existence argument). Picard carries (h, B) exactly along the
-characteristics of the Galerkin velocity: each of h and B takes one backward
-RK4 march from the grid to its feet at time 0 (none for a node at time 0
-itself). h picks up the exponential of the accumulated -div v; B follows
-Cauchy's Lagrangian solution of the induction equation,
-B(t) = Z B0(foot) + c, where the march carries the deformation-like matrix
-Z and a Duhamel term c for curl d. The energy
+characteristics of the Galerkin velocity: each node takes one backward RK4
+march from the grid to the feet at time 0 (none at time 0 itself) and one
+pass of the four-component modal of (h, B) there. h picks up the exponential
+of the accumulated -div v; B follows Cauchy's Lagrangian solution of the
+induction equation, B(t) = Z B0(foot) + c, where the march carries the
+deformation-like matrix Z and a Duhamel term c for curl d. The energy
 
     Lambda_n = integral((1 + B^2)/(2h) + eps h (v^2 + d^2)/2)
 
@@ -90,6 +90,7 @@ __all__ = [
     "mass_apply",
     "mass_solve",
     "flow_map",
+    "transport",
     "transport_h",
     "transport_B",
     "galerkin_stable_dt",
@@ -173,10 +174,10 @@ class TrigBasis:
     def _point_table(self, points: np.ndarray) -> np.ndarray:
         """`_trig_table(points)`, memoised.
 
-        The table of the last point set is held, keyed on a copy of the
-        points, so the calls at one characteristics stage build it once; a
-        caller that changes its array in place gets a new table. The pair is
-        stored as one tuple, so concurrent callers never mix two sets.
+        The last point set's table is held, keyed on a copy of the points,
+        so a characteristics stage's three basis products (v, grad v and
+        grad d) build it once; changing the points in place rebuilds it. The
+        (points, table) pair is one tuple, so concurrent callers never mix pairs.
         """
         pts = np.asarray(points, dtype=float)
         held = self._held
@@ -336,52 +337,55 @@ def flow_map(tb: TrigBasis, vtraj, t: float, s: float,
     return pts % 1.0
 
 
-def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
-                t: float, grid: GridSpec, dt_flow: float = 1e-3) -> ScalarField:
-    """Exact-characteristics solution of dt h + div(h v) = 0 at time t.
-
-    h(t, x) = h0(Phi(0,t,x)) exp(-integral_0^t div v(s, Phi(s,t,x)) ds):
-    the backward march carries the foot and J with dJ/ds = div v, J(t) = 0.
+def transport(tb: TrigBasis, vtraj, dtraj, hB0: ModalScalar, t: float,
+              grid: GridSpec, dt_flow: float = 1e-3
+              ) -> tuple[ScalarField, VectorField3]:
+    """(h, B) at time t by exact characteristics, from hB0, the modal of
+    (h, B1, B2, B3) at time 0: h(t, x) = h0(foot) exp(J), and by Cauchy's
+    Lagrangian form of the induction equation with a Duhamel term for curl d,
+    B(t, x) = Z B0(foot) + c. One backward march from the grid carries the
+    foot, J, Z and c (dJ/ds = div v, dZ/ds = -Z A with A = grad v - (div v) I,
+    dc/ds = Z curl d; J = 0, Z = I and c = 0 at t), and one pass of hB0
+    evaluates the data at the feet. A non-finite h or B raises BlowUpError.
     """
-    vm = _as_model(tb, vtraj)
-    pts = grid.points
-
-    def rates(s, p, _):
-        jac = vm.jacobian(s, p)
-        return vm.eval(s, p), jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
-
-    feet, J = _march(rates, t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
-    vals = h0.eval(feet % 1.0) * np.exp(J)
-    return ScalarField(grid, vals.reshape(grid.shape))
-
-
-def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
-                grid: GridSpec, dt_flow: float = 1e-3) -> VectorField3:
-    """Characteristics representation of dt B + curl(B x v + d) = 0.
-
-    Along a characteristic B solves the linear ODE (Cauchy's Lagrangian form
-    of the induction equation with a Duhamel term for curl d)
-        dB/ds = A B - curl d,   A = grad v - (div v) I,
-    so B(t) = Z(s) B(s) + c(s) with Z(t) = I, dZ/ds = -Z A, c(t) = 0 and
-    dc/ds = Z curl d. One backward march from the grid carries the foot,
-    Z and c, and B(t, x) = Z(0) B0(foot) + c(0).
-    """
-    vm = _as_model(tb, vtraj)
-    dm = _as_model(tb, dtraj)
+    vm, dm = _as_model(tb, vtraj), _as_model(tb, dtraj)
     pts = grid.points
     eye = np.eye(3)
 
-    def rates(s, p, Z, c):
+    def rates(s, p, J, Z, c):
         jac = vm.jacobian(s, p)
         div = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
         A = jac - div[:, None, None] * eye
         curl_d = _curl_of(dm.jacobian(s, p).transpose(1, 2, 0)).T
-        return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, curl_d)
+        return (vm.eval(s, p), div, -Z @ A,
+                np.einsum("mij,mj->mi", Z, curl_d))
 
     Z0 = np.broadcast_to(eye, (len(pts), 3, 3))
-    feet, Z, c = _march(rates, t, 0.0, (pts, Z0, np.zeros_like(pts)), dt_flow)
-    vals = np.einsum("mij,mj->mi", Z, B0.eval(feet % 1.0)) + c
-    return VectorField3(grid, vals.T.reshape(3, *grid.shape))
+    feet, J, Z, c = _march(rates, t, 0.0, (pts, np.zeros(len(pts)), Z0,
+                                           np.zeros_like(pts)), dt_flow)
+    at_feet = hB0.eval(feet % 1.0)
+    with np.errstate(over="ignore"):
+        h = at_feet[:, 0] * np.exp(J)
+    B = np.einsum("mij,mj->mi", Z, at_feet[:, 1:]) + c
+    if not (np.isfinite(h).all() and np.isfinite(B).all()):
+        raise BlowUpError(f"transported (h, B) overflowed at t={t:g}")
+    return (ScalarField(grid, h.reshape(grid.shape)),
+            VectorField3(grid, B.T.reshape(3, *grid.shape)))
+
+
+def transport_h(tb: TrigBasis, vtraj, h0: ModalScalar,
+                t: float, grid: GridSpec, dt_flow: float = 1e-3) -> ScalarField:
+    """The density of `transport` from h0, with no d and no B."""
+    hB0 = ModalScalar(h0.kvecs, np.c_[h0.coeffs, np.zeros((len(h0.kvecs), 3))])
+    return transport(tb, vtraj, UniformField((0.0, 0.0, 0.0)), hB0, t, grid,
+                     dt_flow)[0]
+
+
+def transport_B(tb: TrigBasis, vtraj, dtraj, B0: ModalVector, t: float,
+                grid: GridSpec, dt_flow: float = 1e-3) -> VectorField3:
+    """The induction field of `transport` from B0, with no density."""
+    hB0 = ModalScalar(B0.kvecs, np.c_[np.zeros(len(B0.kvecs)), B0.coeffs])
+    return transport(tb, vtraj, dtraj, hB0, t, grid, dt_flow)[1]
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +572,7 @@ def _node_sources(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, h, B,
             _projected_source(tb, cfg, Ngrid, cv, tb.project(h * v)))
 
 
-def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
+def _k_operator(g, tb, cfg, quad_times, hB0, chi_d0, chi_v0,
                 z: CoefficientTrajectory):
     """One application of the integral fixed-point map on a subinterval, in
     one pass over its nodes: each transports (h, B) along the current
@@ -582,8 +586,7 @@ def _k_operator(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d0, chi_v0,
     new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
     chi_d, chi_v = chi_d0, chi_v0
     for i, t in enumerate(quad_times):
-        h = transport_h(tb, cv_traj, h0_modal, t, g).values
-        B = transport_B(tb, cv_traj, cd_traj, B0_modal, t, g).values
+        h, B = (f.values for f in transport(tb, cv_traj, cd_traj, hB0, t, g))
         if not h.min() > DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
@@ -612,30 +615,29 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     g = h0.grid
     tb = TrigBasis(cfg.N, g)
 
-    h_cur, B_cur = h0, B0
+    hB = np.concatenate([h0.values[None], B0.values])    # (h, B) at t_base
     chi_d, chi_v = tb.project(D0.values), tb.project(P0.values)
 
     t_base = 0.0
     sigma = cfg.sigma
     halvings = 0
-    cd0, cv0 = mass_solve(tb, h_cur.values, np.stack([chi_d, chi_v]))
-    samples = [_observation(g, tb, cfg, 0.0, h_cur.values, B_cur.values,
-                            cd0, cv0, chi_d, chi_v)]    # (state, row) pairs
+    cd0, cv0 = mass_solve(tb, hB[0], np.stack([chi_d, chi_v]))
+    samples = [_observation(g, tb, cfg, 0.0, hB[0], hB[1:], cd0, cv0, chi_d,
+                            chi_v)]    # (state, row) pairs
 
     while cfg.T - t_base > STOP_RTOL * cfg.T:
         sigma_eff = min(sigma, cfg.T - t_base)
         m = max(3, int(math.ceil(sigma_eff / cfg.dt)) + 1)
         quad_times = np.linspace(0.0, sigma_eff, m)
-        h0_modal = ModalScalar.from_field(h_cur)
-        B0_modal = ModalVector.from_field(B_cur)
+        hB0 = ModalScalar.from_values(g, hB)
 
         z = CoefficientTrajectory.constant((0.0, sigma_eff),
                                            np.stack([cd0, cv0]))
         residuals: list[float] = []
         converged = False
         for _ in range(cfg.picard_max_iter):
-            z_new, nodes = _k_operator(g, tb, cfg, quad_times, h0_modal,
-                                       B0_modal, chi_d, chi_v, z)
+            z_new, nodes = _k_operator(g, tb, cfg, quad_times, hB0,
+                                       chi_d, chi_v, z)
             res = max(float(np.abs(z_new.at(t) - z.at(t)).max())
                       for t in quad_times)
             residuals.append(res)
@@ -661,8 +663,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
                                                nodes[1:]):
             samples.append(_observation(g, tb, cfg, t_base + t, h, B, *c,
                                         chi_d, chi_v))
-        h_cur = ScalarField(g, h)
-        B_cur = VectorField3(g, B)
+        hB = np.concatenate([h[None], B])
         cd0, cv0 = z.coeffs[-1]
         t_base += sigma_eff
     states, rows = zip(*samples)

@@ -48,9 +48,10 @@ from abimhd.galerkin import (
     GalerkinConfig,
     ModalScalar,
     TrigBasis,
+    UniformField,
     galerkin_run,
     picard_iterate,
-    transport_h,
+    transport,
 )
 from abimhd.stepping import rk4_step
 from conftest import single_mode_pair
@@ -325,8 +326,10 @@ def test_criterion_10_galerkin():
         0.3 / np.sqrt(2.0)
     vtraj = CoefficientTrajectory.constant((0.0, 1.0), coeffs)
     t_end = 0.05
-    hchar = transport_h(tb7, vtraj, ModalScalar.from_field(h0), t_end, g,
-                        dt_flow=2.5e-4)
+    hB0 = ModalScalar.from_values(g, np.concatenate([h0.values[None],
+                                                     B0.values]))
+    hchar, _ = transport(tb7, vtraj, UniformField((0, 0, 0)), hB0, t_end, g,
+                         dt_flow=2.5e-4)
     v_grid = tb7.synthesize(coeffs)
 
     def rhs(y):

@@ -69,6 +69,16 @@ class TestExitCodes:
         assert main(["dmhd-run", "--config", cfg,
                      "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
+    def test_picard_overflow_is_3(self, tmp_path, capsys):
+        # exp(J) of the transported density overflows at the first node;
+        # the non-finite h once reached ScalarField and exited 2
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[galerkin]\npicard = true\nN = 40\n"
+                        "eps = 1e-3\nl = 8\n")
+        assert main(["galerkin-run", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "overflowed at t=" in capsys.readouterr().err
+
     def test_certify_corruption_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",
                         "[grid]\nn = 8\n[run]\nt_final = 0.01\n"

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from abimhd import galerkin
 from abimhd.dmhd import DmhdState, _constitutive_arrays, dmhd_cfl_dt, dmhd_run
 from abimhd.fields import (
     FieldDataError,
@@ -11,6 +12,7 @@ from abimhd.fields import (
     PositivityError,
     ScalarField,
     VectorField3,
+    _curl_of,
     eval_at,
     random_band_limited,
     random_divergence_free,
@@ -28,11 +30,12 @@ from abimhd.galerkin import (
     mass_solve,
     picard_iterate,
     positive_wavevectors,
+    transport,
     transport_B,
     transport_h,
 )
-from abimhd.galerkin import _march
-from abimhd.stepping import StepSizeError, rk4_step
+from abimhd.galerkin import _as_model, _march
+from abimhd.stepping import BlowUpError, StepSizeError, rk4_step
 from conftest import naive_trig_eval, single_mode_pair
 
 
@@ -351,14 +354,69 @@ def upwind_1d_oracle(hx, vx, t_end, cells):
     return x, h
 
 
+def stacked_modal(h0, B0):
+    """The four-component modal of (h0, B0) that `transport` reads."""
+    return ModalScalar.from_values(
+        h0.grid, np.concatenate([h0.values[None], B0.values]))
+
+
+def transport_of_h(tb, vtraj, h0, t, grid, **kw):
+    """The transported density of h0, with no d and no B."""
+    return transport(tb, vtraj, UniformField((0, 0, 0)),
+                     stacked_modal(h0, VectorField3.zero(grid)), t, grid,
+                     **kw)[0]
+
+
+def transport_of_B(tb, vtraj, dtraj, B0, t, grid, **kw):
+    """The transported induction field of B0, with unit density."""
+    return transport(tb, vtraj, dtraj,
+                     stacked_modal(ScalarField.constant(grid, 1.0), B0), t,
+                     grid, **kw)[1]
+
+
+def separate_marches(tb, vtraj, dtraj, h0, B0, t, grid, dt_flow=1e-3):
+    """Oracle: the two marches that transported h and B before they were
+    fused, each evaluating its initial data one component at a time. Returns
+    (feet, J, Z, c, h, B) with both marches' feet, which must agree."""
+    vm = _as_model(tb, vtraj)
+    dm = _as_model(tb, dtraj)
+    pts = grid.points
+    eye = np.eye(3)
+
+    def rates_h(s, p, _):
+        jac = vm.jacobian(s, p)
+        return vm.eval(s, p), jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
+
+    def rates_B(s, p, Z, c):
+        jac = vm.jacobian(s, p)
+        div = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
+        A = jac - div[:, None, None] * eye
+        curl_d = _curl_of(dm.jacobian(s, p).transpose(1, 2, 0)).T
+        return vm.eval(s, p), -Z @ A, np.einsum("mij,mj->mi", Z, curl_d)
+
+    feet_h, J = _march(rates_h, t, 0.0, (pts, np.zeros(len(pts))), dt_flow)
+    h = ModalScalar.from_field(h0).eval(feet_h % 1.0) * np.exp(J)
+    Z0 = np.broadcast_to(eye, (len(pts), 3, 3))
+    feet, Z, c = _march(rates_B, t, 0.0, (pts, Z0, np.zeros_like(pts)),
+                        dt_flow)
+    assert np.array_equal(feet, feet_h)
+    B0_feet = per_component_eval(B0, feet % 1.0)
+    return feet, J, Z, c, h, np.einsum("mij,mj->mi", Z, B0_feet) + c
+
+
+def per_component_eval(F, pts):
+    """Each component of F through its own ModalScalar, stacked (M, 3)."""
+    return np.stack([ModalScalar.from_field(F.component(i)).eval(pts)
+                     for i in range(3)], axis=1)
+
+
 class TestTransport:
     def test_h_pure_advection_and_mass(self, tb16, grid16):
         h0 = ScalarField.from_function(
             grid16,
             lambda x, y, z: 1.0 + 0.3 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
         t = 0.2
-        ht = transport_h(tb16, shear_trajectory(tb16),
-                         ModalScalar.from_field(h0), t, grid16)
+        ht = transport_of_h(tb16, shear_trajectory(tb16), h0, t, grid16)
         x, y = grid16.mesh[0], grid16.mesh[1]
         exact = 1.0 + 0.3 * np.cos(
             2 * np.pi * (x - t * np.sin(2 * np.pi * y))) * np.sin(2 * np.pi * y)
@@ -369,7 +427,7 @@ class TestTransport:
         h0 = ScalarField(grid16,
                          1.0 + 0.2 * random_band_limited(grid16, rng, 2, 1.0).values)
         zero = CoefficientTrajectory.constant((0.0, 1.0), np.zeros((3, 14)))
-        ht = transport_h(tb16, zero, ModalScalar.from_field(h0), 0.3, grid16)
+        ht = transport_of_h(tb16, zero, h0, 0.3, grid16)
         assert np.abs(ht.values - h0.values).max() < 1e-12
 
     def test_h_compressive_matches_upwind_oracle(self, tb16, grid16):
@@ -382,8 +440,7 @@ class TestTransport:
         h0 = ScalarField.from_function(
             grid16, lambda x, y, z: 1.0 + 0.3 * np.sin(2 * np.pi * x))
         t = 0.03
-        ht = transport_h(tb16, vtraj, ModalScalar.from_field(h0), t, grid16,
-                         dt_flow=5e-4)
+        ht = transport_of_h(tb16, vtraj, h0, t, grid16, dt_flow=5e-4)
         xs, h_oracle = upwind_1d_oracle(
             lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x),
             lambda x: np.sin(2 * np.pi * x), t, 8192)
@@ -396,16 +453,15 @@ class TestTransport:
         B0 = VectorField3.from_function(
             grid16, lambda x, y, z: (0.2 * np.sin(2 * np.pi * y), 0 * x, 0 * x))
         zero = CoefficientTrajectory.constant((0.0, 1.0), np.zeros((3, 14)))
-        Bt = transport_B(tb16, zero, zero, ModalVector.from_field(B0), 0.15,
-                         grid16)
+        Bt = transport_of_B(tb16, zero, zero, B0, 0.15, grid16)
         assert np.abs(Bt.values - B0.values).max() < 1e-12
 
     def test_B_constant_drift(self, tb16, grid16):
         B0 = VectorField3.from_function(
             grid16, lambda x, y, z: (0.2 * np.sin(2 * np.pi * y), 0 * x, 0 * x))
         c = np.array([0.0, 0.5, 0.0])
-        Bt = transport_B(tb16, UniformField(c), UniformField((0, 0, 0)),
-                         ModalVector.from_field(B0), 0.2, grid16)
+        Bt = transport_of_B(tb16, UniformField(c), UniformField((0, 0, 0)),
+                            B0, 0.2, grid16)
         y = grid16.mesh[1]
         exact = 0.2 * np.sin(2 * np.pi * (y - 0.2 * 0.5))
         assert np.abs(Bt.values[0] - exact).max() < 1e-10
@@ -428,8 +484,7 @@ class TestTransport:
         B0 = VectorField3.from_function(
             g, lambda x, y, z: (0.2 * np.sin(2 * np.pi * y), 0 * x, 0 * x))
         t_end = 0.05
-        Bt = transport_B(tb16, vtraj, dtraj, ModalVector.from_field(B0),
-                         t_end, g, dt_flow=2.5e-4)
+        Bt = transport_of_B(tb16, vtraj, dtraj, B0, t_end, g, dt_flow=2.5e-4)
 
         from abimhd.abi import cross3
         v_grid = tb16.synthesize(coeffs_v)
@@ -447,23 +502,36 @@ class TestTransport:
         assert np.abs(g.div_arr(Bt.values)).max() < 1e-6
 
     def test_B_one_march_per_node(self, tb16, grid16, monkeypatch):
-        # B takes one backward march: per RK stage one value and one
-        # Jacobian of v and one curl of d, and no second march for the feet
-        counts = {"eval": 0, "eval_jacobian": 0}
-        for name in counts:
-            original = getattr(TrigBasis, name)
+        # (h, B) take one backward march: per RK stage one value and one
+        # Jacobian of v and one Jacobian of d on one trig table, and one
+        # pass of the modal data at the feet
+        counts = {"eval": 0, "eval_jacobian": 0, "_trig_table": 0,
+                  "modal": 0}
+        for owner, name, key in ((TrigBasis, "eval", "eval"),
+                                 (TrigBasis, "eval_jacobian", "eval_jacobian"),
+                                 (TrigBasis, "_trig_table", "_trig_table"),
+                                 (ModalScalar, "eval", "modal")):
+            original = getattr(owner, name)
 
-            def counted(self, *args, _name=name, _original=original):
-                counts[_name] += 1
+            def counted(self, *args, _key=key, _original=original):
+                counts[_key] += 1
                 return _original(self, *args)
 
-            monkeypatch.setattr(TrigBasis, name, counted)
-        B0 = VectorField3.from_function(
-            grid16, lambda x, y, z: (0.2 * np.sin(2 * np.pi * y), 0 * x, 0 * x))
+            monkeypatch.setattr(owner, name, counted)
+        h0, B0 = single_mode_pair(grid16)
+        hB0 = stacked_modal(h0, B0)
+        shear = shear_trajectory(tb16)
         nsub = 3
-        transport_B(tb16, shear_trajectory(tb16), shear_trajectory(tb16),
-                    ModalVector.from_field(B0), 2.5e-3, grid16, dt_flow=1e-3)
-        assert counts == {"eval": 4 * nsub, "eval_jacobian": 8 * nsub}
+        transport(tb16, shear, shear, hB0, 2.5e-3, grid16, dt_flow=1e-3)
+        assert counts.pop("_trig_table") <= 4 * nsub
+        assert counts == {"eval": 4 * nsub, "eval_jacobian": 8 * nsub,
+                          "modal": 1}
+        # at t = 0 the feet are the grid: no march, no basis call, no
+        # table, and the one pass of the data
+        counts.update(dict.fromkeys(counts, 0), _trig_table=0)
+        transport(tb16, shear, shear, hB0, 0.0, grid16)
+        assert counts == {"eval": 0, "eval_jacobian": 0, "_trig_table": 0,
+                          "modal": 1}
 
     def test_B_matches_fine_reference(self, rng):
         # coefficients linear in time; the default dt_flow against 400 substeps
@@ -473,11 +541,73 @@ class TestTransport:
         times = np.array([0.0, 0.05])
         vtraj = CoefficientTrajectory(times, c[:, 0])
         dtraj = CoefficientTrajectory(times, c[:, 1])
-        B0 = ModalVector.from_field(random_divergence_free(g, rng, 2, 0.3))
+        B0 = random_divergence_free(g, rng, 2, 0.3)
         t = 0.02
-        Bt = transport_B(tb, vtraj, dtraj, B0, t, g)
-        ref = transport_B(tb, vtraj, dtraj, B0, t, g, dt_flow=t / 400)
+        Bt = transport_of_B(tb, vtraj, dtraj, B0, t, g)
+        ref = transport_of_B(tb, vtraj, dtraj, B0, t, g, dt_flow=t / 400)
         assert np.abs(Bt.values - ref.values).max() < 1e-5
+
+    @pytest.mark.parametrize("case", ["uniform", "shear", "basis",
+                                      "many_modes"])
+    def test_one_march_matches_the_separate_marches(self, case, rng,
+                                                     monkeypatch):
+        # feet, J, Z and c bit for bit; h and B to round-off, since the
+        # shared mode list and the one (points x modes) product reorder sums
+        g = GridSpec(8)
+        tb = TrigBasis(7, g)
+        h0, B0 = single_mode_pair(g)
+        vtraj = dtraj = shear_trajectory(tb)
+        if case == "uniform":
+            vtraj, dtraj = UniformField((0.3, -0.2, 0.5)), UniformField((0, 0, 0))
+        elif case == "basis":
+            c = 0.3 * rng.standard_normal((2, 2, 3, 14))
+            times = np.array([0.0, 0.05])
+            vtraj = CoefficientTrajectory(times, c[:, 0])
+            dtraj = CoefficientTrajectory(times, c[:, 1])
+        elif case == "many_modes":
+            # grid data that is not band-limited, as Picard restarts from
+            h0 = ScalarField(g, 1.0 + 0.1 * rng.standard_normal(g.shape))
+            B0 = VectorField3(g, 0.3 * rng.standard_normal((3, *g.shape)))
+        t = 0.02
+        feet, J, Z, c, h_ref, B_ref = separate_marches(tb, vtraj, dtraj, h0,
+                                                       B0, t, g)
+        marched = []
+
+        def spy(*args):
+            marched.append(_march(*args))
+            return marched[-1]
+
+        monkeypatch.setattr(galerkin, "_march", spy)
+        ht, Bt = transport(tb, vtraj, dtraj, stacked_modal(h0, B0), t, g)
+        (out,) = marched
+        for got, want in zip(out, (feet, J, Z, c)):
+            assert np.array_equal(got, want)
+        h_ref = h_ref.reshape(g.shape)
+        B_ref = B_ref.T.reshape(3, *g.shape)
+        assert np.abs(ht.values - h_ref).max() <= 1e-14 * np.abs(h_ref).max()
+        assert np.abs(Bt.values - B_ref).max() <= 1e-14 * np.abs(B_ref).max()
+        # the wrappers that keep the two old names agree as well
+        ht1 = transport_h(tb, vtraj, ModalScalar.from_field(h0), t, g)
+        Bt1 = transport_B(tb, vtraj, dtraj, ModalVector.from_field(B0), t, g)
+        assert np.abs(ht1.values - h_ref).max() <= 1e-14 * np.abs(h_ref).max()
+        assert np.abs(Bt1.values - B_ref).max() <= 1e-14 * np.abs(B_ref).max()
+        # one three-component pass against three one-component ones
+        pts = np.random.default_rng(3).uniform(-1.0, 2.0, (300, 3))
+        many = ModalVector.from_field(B0).eval(pts)
+        one = per_component_eval(B0, pts)
+        assert np.abs(many - one).max() <= 1e-14 * np.abs(one).max()
+
+    def test_overflow_is_a_blow_up(self):
+        # the grid points on z = 0 sit where v_z = -300 sqrt2 sin(2 pi z)
+        # compresses, so J grows like 2666 t and exp(J) overflows
+        g = GridSpec(8)
+        tb = TrigBasis(1, g)
+        coeffs = np.zeros((3, 2))
+        coeffs[2, 0] = -300.0
+        vtraj = CoefficientTrajectory.constant((0.0, 1.0), coeffs)
+        h0, B0 = single_mode_pair(g)
+        with pytest.raises(BlowUpError, match="t=0.5"):
+            transport(tb, vtraj, vtraj, stacked_modal(h0, B0), 0.5, g)
 
 
 class TestModalScalar:
@@ -772,8 +902,7 @@ class TestPicard:
         h0 = ScalarField.constant(grid, 1.0)
         zero = VectorField3.zero(grid)
 
-        def converged(g, tb, cfg, quad_times, h0_modal, B0_modal, chi_d,
-                      chi_v, z):
+        def converged(g, tb, cfg, quad_times, hB0, chi_d, chi_v, z):
             nodes = [(h0.values, zero.values, chi_d, chi_v)] * len(quad_times)
             coeffs = np.stack([z.at(t) for t in quad_times])
             return CoefficientTrajectory(quad_times, coeffs), nodes
