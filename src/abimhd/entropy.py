@@ -10,9 +10,10 @@ frame is controlled by a pointwise symmetric 10x10 weight matrix Q(w*)
 
 with U~ = (1 - h/h*, B - h b*) and W~ = (U~, D - h d*, P - h v*). Shifting
 Q by r on the first four diagonal slots (r at least the certified r0) makes
-the weight uniformly positive definite, and exponential weighting turns the
-identity into the inequality certified here: for genuine dissipative
-solutions the slack
+the weight uniformly positive definite (r0 is the largest 1 + lambda_max of
+a 4x4 Schur complement, eigensolved only where a trace bound can reach the
+maximum), and exponential weighting turns the identity into the inequality
+certified here: for genuine dissipative solutions the slack
 
     e^{-rt} Lambda(h(t), U~(t)) + Lambda~(h, W~, e^{-rs} Q_r; 0, t)
         + R(t) - Lambda(h(0), U~(0))
@@ -80,6 +81,7 @@ __all__ = [
 
 DEFAULT_U_FLOOR = 1e-8
 R0_MAX_CANDIDATES = 4096    # worst points the r0 certificate eigensolves
+R0_BOUND_SEEDS = 16         # top-bound points that set the prune's floor
 R0_ROUND_UPS = 8            # ulp-scaled round-up attempts before giving up
 DUAL_FEAS_TOL = 1e-12       # round-off a dual pair's a + |A|^2/2 may exceed 0
 HOLDER_KMAX = 2             # band |k_i| of the Hoelder quotient's test modes
@@ -410,24 +412,50 @@ def lambda_tilde(times: Sequence[float], rho_list: Sequence[np.ndarray],
 # Certified shift r0 in closed form.
 # ----------------------------------------------------------------------
 
-def _schur_threshold(der: tuple) -> np.ndarray:
-    """Exact per-point minimal shift via the 4x4 Schur complement, from Q's
-    first four columns Q4 (points, 10, 4): A is their rows 0-3 and, Q being
-    symmetric, the upper-right block C the transpose of their rows 4-9.
-    With I subtracted, the lower-right block 2 I becomes I, so the
-    complement is C C^T - A."""
-    Q4 = _q_columns(der, range(4))
+def _schur_threshold(der: tuple, at=slice(None)) -> np.ndarray:
+    """Exact minimal shift at the flat grid points `at` (all by default) via
+    the 4x4 Schur complement, from Q's first four columns Q4 (points, 10, 4):
+    A is their rows 0-3 and, Q being symmetric, the upper-right block C the
+    transpose of their rows 4-9. With I subtracted, the lower-right block
+    2 I becomes I, so the complement is S = C C^T - A. Each point is solved
+    on its own, so a point's value does not depend on `at`."""
+    Q4 = _q_columns(der, range(4), at)
     C = Q4[:, 4:].swapaxes(1, 2)
     S = np.einsum("mij,mkj->mik", C, C) - Q4[:, :4]
     del Q4, C       # the eigensolve holds S alone
     return 1.0 + jacobi_eigenvalues(S)[:, -1]
 
 
+def _schur_bound(der: tuple) -> np.ndarray:
+    """An upper bound on `_schur_threshold` at every flat grid point, from
+    the closed form of S: with w = curl b* and sym = grad v* + grad v*^T,
+    S = [[|w|^2 + 2 div v*, -(curl d*)^T], [-curl d*, |w|^2 I - w w^T + sym]].
+    lambda_max(S) <= m + sqrt(3) s (Wolkowicz & Styan 1980), m = tr S / 4,
+    s^2 = |S - m I|_F^2 / 4 summed from the traceless entries, which do not
+    cancel when S is near m I; 1e-9 (1 + |S|_F) covers the round-off."""
+    jac_v, jac_b, curl_d = der
+    w = _curl_of(jac_b)
+    ww = (w * w).sum(0)
+    div_v = jac_v[0, 0] + jac_v[1, 1] + jac_v[2, 2]
+    m = 0.75 * ww + div_v
+    dev = jac_v + jac_v.swapaxes(0, 1) - w[:, None] * w[None]
+    for i in range(3):
+        dev[i, i] += 0.25 * ww - div_v      # S[1:, 1:] - m I
+    s2 = 0.25 * ((0.25 * ww + div_v) ** 2 + 2.0 * (curl_d * curl_d).sum(0)
+                 + (dev * dev).sum((0, 1)))
+    frob = 2.0 * np.sqrt(m * m + s2)
+    return (1.0 + m + np.sqrt(3.0 * s2) + 1e-9 * (1.0 + frob)).ravel()
+
+
+def _near_floor(top: float) -> float:
+    """Lowest threshold counted as near the maximum `top`."""
+    return top - 1e-6 * (1.0 + abs(top))
+
+
 def _near_max(th: np.ndarray) -> np.ndarray:
     """Indices of the points within 1e-6 (1 + |max|) of the maximum
     threshold, keeping the R0_MAX_CANDIDATES worst."""
-    top = float(th.max())
-    idx = np.nonzero(th >= top - 1e-6 * (1.0 + abs(top)))[0]
+    idx = np.nonzero(th >= _near_floor(float(th.max())))[0]
     if idx.size > R0_MAX_CANDIDATES:
         idx = idx[np.argsort(th[idx])[::-1][:R0_MAX_CANDIDATES]]
     return idx
@@ -436,11 +464,19 @@ def _near_max(th: np.ndarray) -> np.ndarray:
 def _fold_candidates(cands: tuple, der: tuple) -> tuple:
     """Fold a frame's near-maximal thresholds and its full Q there into the
     running candidates: the near-maximal band of all frames lies inside the
-    union of each frame's own band, so one frame's columns are held at once."""
-    th = _schur_threshold(der)
+    union of each frame's own band, so one frame's columns are held at once.
+    Only live points are eigensolved: the top threshold L of the
+    R0_BOUND_SEEDS points of largest `_schur_bound` is at most the maximum,
+    so every near-maximal point has a bound of at least `_near_floor(L)`,
+    and the fold is the full grid's bit for bit (all live if all tie)."""
+    bound = _schur_bound(der)
+    seeds = np.argsort(bound)[-R0_BOUND_SEEDS:]
+    top = float(_schur_threshold(der, seeds).max())
+    live = np.nonzero(bound >= _near_floor(top))[0]
+    th = _schur_threshold(der, live)
     idx = _near_max(th)
     cand_th = np.concatenate([cands[0], th[idx]])
-    cand_Q = np.concatenate([cands[1], _q_columns(der, range(10), idx)])
+    cand_Q = np.concatenate([cands[1], _q_columns(der, range(10), live[idx])])
     idx = _near_max(cand_th)
     return cand_th[idx], cand_Q[idx]
 
@@ -451,8 +487,11 @@ def _certified_shift(cands: tuple) -> float:
     cand_th, cand_Q = cands
     shift_slots = np.diag([1.0] * 4 + [0.0] * 6)
     r = max(0.0, float(cand_th.max()))
-    step = 4.0 * np.finfo(float).eps * (1.0 + r + float(np.abs(cand_Q).max()))
-    for _ in range(R0_ROUND_UPS):
+    q = float(np.abs(cand_Q).max())
+    step = 4.0 * np.finfo(float).eps * (1.0 + r + q)
+    # R0_ROUND_UPS steps at least, and on past the 10x10 eigensolve's reach
+    reach = step * max(1.0 + q * q, 2.0 ** (R0_ROUND_UPS - 1))
+    while step <= reach and math.isfinite(r):
         mats = cand_Q + r * shift_slots - np.eye(10)
         if jacobi_min_eigenvalue(mats).min() >= 0.0:
             return float(r)
@@ -470,10 +509,13 @@ def r0(frames: Sequence[TestFieldFrame]) -> float:
     in closed form: the maximum over all sampled (t, x) of
     1 + lambda_max(C C^T - A), floored at zero, where A is the upper-left
     4x4 block and C the upper-right 4x6 block, both read from Q's first
-    four columns. The value is certified by LAPACK's `eigvalsh` on the full
-    10x10 matrices at the pointwise-worst candidates, the only points where
-    they are formed, rounded up by ulp-scaled steps if round-off leaves it
-    just infeasible, so the shifted matrix is positive semidefinite at every
+    four columns, eigensolved only where a trace bound (`_schur_bound`)
+    can reach the maximum. The value is certified by LAPACK's `eigvalsh` on
+    the full 10x10 matrices at the pointwise-worst candidates, the only
+    points where they are formed, rounded up by doubling ulp-scaled steps if
+    round-off leaves it just infeasible: R0_ROUND_UPS at least, and on until
+    a step exceeds the eigensolve's round-off 4 eps (1 + r + q)(1 + q^2),
+    q = max |Q|. So the shifted matrix is positive semidefinite at every
     sampled point. A frame holding the previous frame's fields repeats its
     thresholds and candidates and is skipped. `dissipative_slack` certifies
     the same value from its own pass.

@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abimhd import abi, dmhd, galerkin, stepping
@@ -95,3 +96,26 @@ def test_runs_step_through_module_globals(monkeypatch):
     assert sweeps >= 1
     assert len(starts) == 3 * sweeps and sum(starts) == sweeps
     assert "eval_jacobian" in names
+
+
+def test_certify_eigensolves_pinned(tmp_path, monkeypatch):
+    """Matrices that reach the eigensolver in one certify_n16 job, counted
+    where the bench tracer counts them. Eigensolving every grid point of
+    its 9 distinct frames took 36,878; the Schur bound leaves a few hundred."""
+    from abimhd import _jacobi, entropy
+    from abimhd.cli import main
+
+    matrices = []
+    original = _jacobi.jacobi_eigenvalues
+
+    def counted(mats):
+        matrices.append(len(mats) if np.ndim(mats) == 3 else 1)
+        return original(mats)
+
+    for owner in (_jacobi, entropy):
+        monkeypatch.setattr(owner, "jacobi_eigenvalues", counted)
+    job = load_bench_module("workloads").WORKLOADS["certify_n16"].jobs(0)[0]
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text(job.config)
+    assert main(job.argv(cfg, tmp_path / "out", 0)) == 0
+    assert 0 < sum(matrices) <= 1000

@@ -185,6 +185,18 @@ class TestCertify:
                      str(tmp_path / "o"), "--quiet"]) == 2
         assert runs == []
 
+    def test_large_frames_certify_their_shift(self, tmp_path):
+        # r0 near 3e6: eight fixed round-ups once stopped short of the 10x10
+        # eigensolve's round-off and reported a corrupted Q (exit 2)
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[scenario]\nname = random_smooth\n"
+                        "[run]\nt_final = 1e-4\n"
+                        "[certify]\nrandom_frames = 2\nframe_amp = 100\n")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out),
+                     "--seed", "1", "--quiet"]) == 4
+        assert (out / "certify_summary.csv").exists()
+
     def test_genuine_run_passes(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",
                         "[grid]\nn = 8\n[run]\nt_final = 0.004\n")

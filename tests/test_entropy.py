@@ -295,6 +295,104 @@ class TestR0:
         assert r0(held) == r0([base])
 
 
+def full_grid_fold(cands, der):
+    """The fold that eigensolves every grid point: the oracle of the
+    bound-pruned `_fold_candidates`."""
+    th = entropy._schur_threshold(der)
+    idx = entropy._near_max(th)
+    cand_th = np.concatenate([cands[0], th[idx]])
+    Q = entropy._q_columns(der, range(10), idx)
+    cand_Q = np.concatenate([cands[1], Q])
+    idx = entropy._near_max(cand_th)
+    return cand_th[idx], cand_Q[idx]
+
+
+def prune_families():
+    """Frame families of every kind the certificate meets: random frames
+    over amplitudes and bands, frames of a DMHD run, frames of the
+    single-mode data (whole planes of points tie) and a constant frame
+    (every point ties)."""
+    g = GridSpec(16)
+    rng = np.random.default_rng(24)
+    families = [[random_frame(g, rng, kmax=k, amplitude=a)]
+                for a in (0.1, 0.3, 1.0) for k in (1, 2, 3)]
+    h0 = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
+    B0 = random_divergence_free(g, rng, 2, 0.3)
+    for s0 in (DmhdState(h0, B0), DmhdState(*single_mode_pair(g))):
+        families.append(frames_from_dmhd(dmhd_run(s0, dmhd_cfl_dt(s0), 3)))
+    families.append([constant_frame(g, 2.0, b=(0.1, -0.2, 0.3),
+                                    d=(0.4, 0.0, -0.1), v=(-0.3, 0.2, 0.0))])
+    return families
+
+
+class TestSchurPrune:
+    @pytest.fixture(scope="class")
+    def derivations(self):
+        return [[entropy._frame_derivatives(f) for f in fam]
+                for fam in prune_families()]
+
+    def test_fold_equals_full_grid_fold(self, derivations):
+        for fam in derivations:
+            got = want = entropy._NO_CANDIDATES
+            for der in fam:
+                got = entropy._fold_candidates(got, der)
+                want = full_grid_fold(want, der)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    def test_ties_keep_every_point_live(self, derivations):
+        th = entropy._fold_candidates(entropy._NO_CANDIDATES,
+                                      derivations[-1][0])[0]
+        assert th.size == 16 ** 3
+        assert np.all(th == th[0])
+
+    @staticmethod
+    def assert_bounds(der):
+        th = entropy._schur_threshold(der)
+        assert np.all(entropy._schur_bound(der) >= th)
+
+    def test_bound_holds_at_every_point(self, derivations):
+        for fam in derivations:
+            for der in fam:
+                self.assert_bounds(der)
+                self.assert_bounds(tuple(1e3 * d for d in der))
+
+    @staticmethod
+    def scalar_complement(alpha):
+        """Derivations with S = (alpha / 2) I at each point of alpha's
+        (n, n, n) grid: J_v = alpha diag(-1, -1, 1) / 4, curl b* = e_z
+        sqrt(alpha), curl d* = 0; the trace bound is tight there."""
+        jac_v = np.zeros((3, 3, *alpha.shape))
+        jac_b = np.zeros((3, 3, *alpha.shape))
+        for i, d in enumerate((-0.25, -0.25, 0.25)):
+            jac_v[i, i] = d * alpha
+        jac_b[1, 0] = 0.5 * np.sqrt(alpha)
+        jac_b[0, 1] = -jac_b[1, 0]
+        return jac_v, jac_b, np.zeros((3, *alpha.shape))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bound_holds_on_near_scalar_complement(self, rng, scale):
+        der = self.scalar_complement(np.full((4, 4, 4), scale))
+        th = entropy._schur_threshold(der)
+        assert np.abs(th - (1.0 + scale / 2)).max() <= 1e-15 * (1 + scale)
+        for noise in (0.0, 1e-14, 1e-9):
+            self.assert_bounds(tuple(
+                d + noise * math.sqrt(scale) * rng.standard_normal(d.shape)
+                for d in der))
+
+    def test_fold_keeps_near_maximal_points_below_the_top(self):
+        # thresholds 1.5 - k 5e-7, k = 0..9, with bounds a few 1e-9 above:
+        # k = 1..5 are near-maximal although their bounds lie below 1.5
+        alpha = 1.0 - 1e-6 * (np.arange(64) % 10).reshape(4, 4, 4)
+        der = self.scalar_complement(alpha)
+        got = entropy._fold_candidates(entropy._NO_CANDIDATES, der)
+        want = full_grid_fold(entropy._NO_CANDIDATES, der)
+        assert got[0].size == 40         # k <= 5 at 40 of the 64 points
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestLOperator:
     def test_trivial_solution_frame(self, grid16):
         L = l_operator(constant_frame(grid16))
