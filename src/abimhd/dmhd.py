@@ -79,12 +79,21 @@ class DmhdState:
         return max(self.h.sup_norm(), self.B.sup_norm())
 
 
+def _constitutive_products(h: np.ndarray, B: np.ndarray) -> tuple:
+    """The pointwise products of the constitutive law: B/h, a generator of
+    the six B_i B_j/h in SYM_PAIRS order (one alive at a time) and 1/h, so
+    that D = curl(B/h) and P = div(B (x) B/h) + grad(1/h)."""
+    r = guarded_reciprocal(h)
+    return B * r, (B[i] * B[j] * r for i, j in SYM_PAIRS), r
+
+
 def _constitutive_spectra(g: GridSpec, h: np.ndarray, B: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
     """D and the band spectrum of P: 10 forward, 3 inverse transforms."""
-    r = guarded_reciprocal(h)
-    D = g.ifft(g.curl_hat(g.fft(B * r, band=True)))
-    P_hat = g.div_sym_masked(B[i] * B[j] * r for i, j in SYM_PAIRS)
+    Br, BBr, r = _constitutive_products(h, B)
+    D = g.ifft(g.curl_hat(g.fft(Br, band=True)))
+    del Br
+    P_hat = g.div_sym_masked(BBr)
     P_hat += g.grad_hat(g.fft(r, band=True))
     return D, P_hat
 

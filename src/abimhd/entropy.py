@@ -418,11 +418,15 @@ def _schur_threshold(der: tuple, at=slice(None)) -> np.ndarray:
     A is their rows 0-3 and, Q being symmetric, the upper-right block C the
     transpose of their rows 4-9. With I subtracted, the lower-right block
     2 I becomes I, so the complement is S = C C^T - A. Each point is solved
-    on its own, so a point's value does not depend on `at`."""
+    on its own, so a point's value does not depend on `at`. A frame whose
+    products overflow leaves S non-finite, which raises FieldDataError."""
     Q4 = _q_columns(der, range(4), at)
     C = Q4[:, 4:].swapaxes(1, 2)
     S = np.einsum("mij,mkj->mik", C, C) - Q4[:, :4]
     del Q4, C       # the eigensolve holds S alone
+    if not np.isfinite(S).all():
+        raise FieldDataError(
+            "test-field frame overflows: its Schur complement is not finite")
     return 1.0 + jacobi_eigenvalues(S)[:, -1]
 
 
@@ -468,11 +472,12 @@ def _fold_candidates(cands: tuple, der: tuple) -> tuple:
     Only live points are eigensolved: the top threshold L of the
     R0_BOUND_SEEDS points of largest `_schur_bound` is at most the maximum,
     so every near-maximal point has a bound of at least `_near_floor(L)`,
-    and the fold is the full grid's bit for bit (all live if all tie)."""
+    and the fold is the full grid's bit for bit (all live if all tie). A
+    nan bound, from overflowing products, is live, so its S is checked."""
     bound = _schur_bound(der)
     seeds = np.argsort(bound)[-R0_BOUND_SEEDS:]
     top = float(_schur_threshold(der, seeds).max())
-    live = np.nonzero(bound >= _near_floor(top))[0]
+    live = np.nonzero(~(bound < _near_floor(top)))[0]
     th = _schur_threshold(der, live)
     idx = _near_max(th)
     cand_th = np.concatenate([cands[0], th[idx]])

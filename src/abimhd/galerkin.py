@@ -13,9 +13,12 @@ system
 
 while (h, B) advance classically by the continuity and induction equations.
 The right-hand sides curl(B/h) = D and div(B (x) B / h) + grad(1/h) = P are
-the DMHD constitutive law, taken from `dmhd._constitutive_spectra`, and every
-product is transformed once, into its 2/3-rule band spectrum.
-Both drivers share these grid sources and one projection
+the DMHD constitutive law, whose products come from
+`dmhd._constitutive_products`. The sources enter only through their
+projection onto X_N, so no transform builds them: the grid products are
+projected in one GEMM, exact by discrete orthogonality, the 2/3 rule drops
+the basis functions past the band, and curl, divergence and gradient act
+on the coefficients. Both drivers share these projected sources
 project(S) - lambda^l c - chi/eps; chi is the method-of-lines state, or
 <h c, basis> of the transported density at a Picard quadrature node.
 Recovering d and v from their momentum coefficients requires the weighted
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import logging
 import math
+import resource
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dmhd import _constitutive_spectra
+from .dmhd import _constitutive_products
 from .fields import (
     DEFAULT_H_FLOOR,
     SYM_PAIRS,
@@ -135,6 +139,8 @@ class TrigBasis:
         self.table = self._trig_table(grid.points)                  # (n^3, 2N)
         ksq = (self.kvecs ** 2).sum(1)
         self.lam = np.concatenate([ksq, ksq]) * (2.0 * np.pi) ** 2  # -Lap eigenvalues
+        # the functions the 2/3 rule keeps, max |k_i| <= n//3
+        self.in_band = np.tile(np.abs(k).max(1) <= grid.n // 3, 2)
         self._held = None        # (points, _point_table) of the last point set
 
     # -- grid-side operations ------------------------------------------------
@@ -145,9 +151,22 @@ class TrigBasis:
         return vals.reshape(*coeffs.shape[:-1], *self.grid.shape)
 
     def project(self, fields: np.ndarray) -> np.ndarray:
-        """Dual (moment) coefficients <f, basis>: (..., n,n,n) -> (..., 2N)."""
+        """Dual (moment) coefficients <f, basis>: (..., n,n,n) -> (..., 2N).
+        By discrete orthogonality they are f's DFT at the basis wavevectors."""
         flat = fields.reshape(*fields.shape[:-3], self.grid.num_points)
         return (flat @ self.table) / self.grid.num_points
+
+    def grad_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients of the gradient d_j f: (..., 2N) -> (..., 3, 2N).
+
+        d_j sqrt2 sin(2 pi k.x) = w_j sqrt2 cos(2 pi k.x) and
+        d_j sqrt2 cos(2 pi k.x) = -w_j sqrt2 sin(2 pi k.x), w = 2 pi k, so
+        the map holds for primal coefficients and, on band-limited f, for
+        the dual <f, basis> alike."""
+        N = self.N
+        w = 2.0 * np.pi * self.kvecs.T                            # (3, N)
+        return np.concatenate([-coeffs[..., None, N:] * w,
+                               coeffs[..., None, :N] * w], axis=-1)
 
     def gram(self, rho: np.ndarray) -> np.ndarray:
         """Weighted Gram block <rho basis_i, basis_j>, shape (2N, 2N)."""
@@ -193,13 +212,7 @@ class TrigBasis:
 
     def eval_jacobian(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Jacobian d_j v_i at points, shape (M, 3, 3)."""
-        N = self.N
-        w = 2.0 * np.pi * self.kvecs                          # (N, 3)
-        # d_j sqrt2 sin(2 pi k.x) = w_j sqrt2 cos(2 pi k.x) and
-        # d_j sqrt2 cos(2 pi k.x) = -w_j sqrt2 sin(2 pi k.x)
-        dcoef = np.concatenate([-coeffs[:, N:, None] * w,
-                                coeffs[:, :N, None] * w], axis=1)  # (3, 2N, 3)
-        flat = dcoef.transpose(1, 0, 2).reshape(2 * N, 9)
+        flat = self.grad_coeffs(coeffs).reshape(9, 2 * self.N).T.copy()
         return (self._point_table(points) @ flat).reshape(-1, 3, 3)
 
     def eval_div(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -447,45 +460,58 @@ class GalerkinTrajectory:
         return np.array([row[1] for row in self.diagnostics])
 
 
-def _grid_sources(g: GridSpec, h, B, d, v, eps):
-    """Grid sources S = D/eps - curl(h d x v), the curl form of
-    div(h (d (x) v - v (x) d)), and N = P/eps - div(h v (x) v) + h (d.grad) d,
-    with D and P from the DMHD constitutive law: 25 forward, 18 inverse
-    transforms."""
-    D, P_hat = _constitutive_spectra(g, h, B)
-    inv_eps = 1.0 / eps
-    S = inv_eps * D - g.ifft(g.curl_hat(g.fft(h * cross3(d, v), band=True)))
-    N_hat = inv_eps * P_hat
-    N_hat -= g.div_sym_masked(h * v[i] * v[j] for i, j in SYM_PAIRS)
-    N_hat += g.fft(h * _matvec(g.jacobian_arr(d), d), band=True)
-    return S, g.ifft(N_hat)
+def _projected_sources(tb: TrigBasis, cfg: GalerkinConfig, h, B, c, dv,
+                       chi) -> np.ndarray:
+    """The relaxation sources in dual coefficients, (2, 3, 2N): project(S)
+    and project(N) - lam^l c - chi/eps for primal c = (cd, cv) with grid
+    values dv = (d, v) and momenta chi = (chi_d, chi_v). S = D/eps -
+    curl(h d x v), the curl form of div(h (d (x) v - v (x) d)), and N =
+    P/eps - div(h v (x) v) + h (d.grad) d, with D and P from the DMHD
+    constitutive law, every term dealiased by the 2/3 rule.
 
-
-def _projected_source(tb: TrigBasis, cfg: GalerkinConfig, grid_source,
-                      c, chi):
-    """project(grid_source) - lam^l c - chi/eps for primal coefficients c."""
-    return tb.project(grid_source) - tb.lam ** cfg.l * c - chi / cfg.eps
+    No transform: the grid products are projected in one GEMM, which by
+    discrete orthogonality gives their DFT at the basis wavevectors, the
+    band keeps `tb.in_band`, and curl, divergence and gradient act on the
+    coefficients (`grad_coeffs`); grad d is synthesized from the basis."""
+    d, v = dv
+    Br, BBr, r = _constitutive_products(h, B)
+    inv_eps = 1.0 / cfg.eps
+    adv = _matvec(tb.synthesize(tb.grad_coeffs(c[0])), d)      # (d.grad) d
+    products = np.concatenate([
+        inv_eps * Br - h * cross3(d, v),
+        np.stack([inv_eps * t - h * v[i] * v[j]
+                  for (i, j), t in zip(SYM_PAIRS, BBr)]),
+        inv_eps * r[None],
+        h * adv])
+    del Br, r, adv
+    p = tb.project(products) * tb.in_band
+    grads = tb.grad_coeffs(p[3:10])          # (7, 3, 2N): d_j of T_ij, 1/h
+    N = grads[6] + p[10:]
+    for k, (i, j) in enumerate(SYM_PAIRS):
+        N[i] += grads[k, j]
+        if i != j:
+            N[j] += grads[k, i]
+    S = _curl_of(tb.grad_coeffs(p[:3]))
+    return np.stack([S, N]) - tb.lam ** cfg.l * c - chi / cfg.eps
 
 
 def _galerkin_rhs_arrays(g: GridSpec, tb: TrigBasis, y, cfg: GalerkinConfig,
                          coeffs=None):
     """MoL tendencies of (h, B, chi_d, chi_v), solving for the primal
-    coefficients (cd, cv) unless given: 34 forward, 22 inverse transforms."""
+    coefficients (cd, cv) unless given: 9 forward, 4 inverse transforms, all
+    of them for (h, B); the sources make none."""
     h, B, chi_d, chi_v = y
-    cd, cv = (mass_solve(tb, h, np.stack([chi_d, chi_v])) if coeffs is None
-              else coeffs)
-    d = tb.synthesize(cd)
-    v = tb.synthesize(cv)
+    c = np.asarray(mass_solve(tb, h, np.stack([chi_d, chi_v]))
+                   if coeffs is None else coeffs)
+    dv = d, v = tb.synthesize(c)
 
     dh = -g.ifft(g.div_hat(g.fft(h * v, band=True)))
     # the band of B x v added into the full spectrum of d, in place
     flux = g.fft(d)
     flux[g._band_at] += g.fft(cross3(B, v), band=True)
     dB = -g.ifft(g.curl_hat(flux))
-
-    S, Ngrid = _grid_sources(g, h, B, d, v, cfg.eps)
-    return (dh, dB, _projected_source(tb, cfg, S, cd, chi_d),
-            _projected_source(tb, cfg, Ngrid, cv, chi_v))
+    return (dh, dB, *_projected_sources(tb, cfg, h, B, c, dv,
+                                        np.stack([chi_d, chi_v])))
 
 
 def galerkin_stable_dt(h: np.ndarray, v_coeffs: np.ndarray, tb: TrigBasis,
@@ -562,44 +588,76 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 # Picard fixed-point mode.
 # ----------------------------------------------------------------------
 
-def _node_sources(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, h, B,
-                  cd, cv):
+def _node_sources(tb: TrigBasis, cfg: GalerkinConfig, h, B, cd, cv):
     """Picard's sources at one node: the MoL sources at chi = <h c, basis>."""
-    d = tb.synthesize(cd)
-    v = tb.synthesize(cv)
-    S, Ngrid = _grid_sources(g, h, B, d, v, cfg.eps)
-    return (_projected_source(tb, cfg, S, cd, tb.project(h * d)),
-            _projected_source(tb, cfg, Ngrid, cv, tb.project(h * v)))
+    c = np.stack([cd, cv])
+    dv = tb.synthesize(c)
+    return _projected_sources(tb, cfg, h, B, c, dv, tb.project(h * dv))
 
 
 def _k_operator(g, tb, cfg, quad_times, hB0, chi_d0, chi_v0,
-                z: CoefficientTrajectory):
+                z: CoefficientTrajectory, node0: dict):
     """One application of the integral fixed-point map on a subinterval, in
     one pass over its nodes: each transports (h, B) along the current
     iterate's velocity, adds its projected sources to the trapezoid time
     quadrature and mass-solves back to primal coefficients. Returns the new
     iterate and each node's transported (h, B) and accumulated momenta
-    (chi_d, chi_v)."""
+    (chi_d, chi_v).
+
+    The t = 0 node depends on the iterate only through z(0): its (h, B) is
+    hB0 on the grid and its mass solve reads the fixed chi0. `node0`, the
+    subinterval's memo keyed on the bytes of z(0), holds that node, so it
+    is computed in the first sweep and again once z(0) has taken the value
+    of its own mass solve, bit for bit as a recomputation would give it."""
     cd_traj = CoefficientTrajectory(z.times, z.coeffs[:, 0])
     cv_traj = CoefficientTrajectory(z.times, z.coeffs[:, 1])
-    nodes = []
-    new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
-    chi_d, chi_v = chi_d0, chi_v0
-    for i, t in enumerate(quad_times):
+
+    def at_node(t):
         h, B = (f.values for f in transport(tb, cv_traj, cd_traj, hB0, t, g))
         if not h.min() > DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
-        src_d, src_v = _node_sources(g, tb, cfg, h, B, cd_traj.at(t),
-                                     cv_traj.at(t))
-        if i > 0:
-            dt_seg = t - quad_times[i - 1]
-            chi_d = chi_d + 0.5 * dt_seg * (prev_d + src_d)
-            chi_v = chi_v + 0.5 * dt_seg * (prev_v + src_v)
-        new_coeffs[i] = mass_solve(tb, h, np.stack([chi_d, chi_v]))
-        nodes.append((h, B, chi_d, chi_v))
-        prev_d, prev_v = src_d, src_v
+        return h, B, _node_sources(tb, cfg, h, B, cd_traj.at(t),
+                                   cv_traj.at(t))
+
+    chi = np.stack([chi_d0, chi_v0])
+    key = z.at(quad_times[0]).tobytes()
+    if key not in node0:
+        h, B, src = at_node(quad_times[0])
+        node0.clear()
+        node0[key] = (h, B, src, mass_solve(tb, h, chi))
+    h, B, prev, coeffs0 = node0[key]
+    new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
+    new_coeffs[0] = coeffs0
+    nodes = [(h, B, chi_d0, chi_v0)]
+    for i in range(1, len(quad_times)):
+        t = quad_times[i]
+        h, B, src = at_node(t)
+        chi = chi + 0.5 * (t - quad_times[i - 1]) * (prev + src)
+        new_coeffs[i] = mass_solve(tb, h, chi)
+        nodes.append((h, B, *chi))
+        prev = src
     return CoefficientTrajectory(np.asarray(quad_times), new_coeffs), nodes
+
+
+def _node_count(sigma: float, dt: float) -> int:
+    """Quadrature nodes of a Picard subinterval of length sigma."""
+    return max(3, int(math.ceil(sigma / dt)) + 1)
+
+
+def _available_bytes() -> float:
+    """The smaller of MemAvailable and the soft RLIMIT_AS, in bytes; inf
+    where neither is known."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    avail = math.inf if soft == resource.RLIM_INFINITY else float(soft)
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    avail = min(avail, 1024.0 * float(line.split()[1]))
+    except OSError:
+        pass
+    return avail
 
 
 def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
@@ -611,8 +669,19 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     coefficient change drops below picard_tol; if the change grows three
     times in a row the subinterval is halved (more than 20 halvings aborts).
     The next subinterval restarts from the transported end state.
+
+    A sweep keeps the (h, B) of each node while the previous sweep's are
+    still held; if two sweeps' nodes of the first subinterval would not fit
+    in the available memory, FieldDataError is raised before any transport.
     """
     g = h0.grid
+    m = _node_count(min(cfg.sigma, cfg.T), cfg.dt)
+    need, avail = 2 * m * 4 * g.num_points * 8, _available_bytes()
+    if need > avail:
+        raise FieldDataError(
+            f"picard holds two sweeps of {m} nodes' (h, B): {need / 1e9:.3g} "
+            f"GB, above the {avail / 1e9:.3g} GB available; raise "
+            "galerkin.dt or lower galerkin.sigma")
     tb = TrigBasis(cfg.N, g)
 
     hB = np.concatenate([h0.values[None], B0.values])    # (h, B) at t_base
@@ -627,9 +696,10 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     while cfg.T - t_base > STOP_RTOL * cfg.T:
         sigma_eff = min(sigma, cfg.T - t_base)
-        m = max(3, int(math.ceil(sigma_eff / cfg.dt)) + 1)
-        quad_times = np.linspace(0.0, sigma_eff, m)
+        quad_times = np.linspace(0.0, sigma_eff,
+                                 _node_count(sigma_eff, cfg.dt))
         hB0 = ModalScalar.from_values(g, hB)
+        node0: dict = {}
 
         z = CoefficientTrajectory.constant((0.0, sigma_eff),
                                            np.stack([cd0, cv0]))
@@ -637,7 +707,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         converged = False
         for _ in range(cfg.picard_max_iter):
             z_new, nodes = _k_operator(g, tb, cfg, quad_times, hB0,
-                                       chi_d, chi_v, z)
+                                       chi_d, chi_v, z, node0)
             res = max(float(np.abs(z_new.at(t) - z.at(t)).max())
                       for t in quad_times)
             residuals.append(res)

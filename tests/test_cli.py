@@ -197,6 +197,19 @@ class TestCertify:
                      "--seed", "1", "--quiet"]) == 4
         assert (out / "certify_summary.csv").exists()
 
+    @pytest.mark.parametrize("amp,code", [("1e200", 2), ("1e150", 4)])
+    def test_overflowing_frames_exit_2(self, tmp_path, amp, code):
+        # at 1e200 the Schur complements overflow to inf, which once ended
+        # in a LinAlgError traceback from the eigensolve; 1e150 still
+        # certifies its finite complements and violates the slack
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        "[grid]\nn = 8\n[scenario]\nname = random_smooth\n"
+                        "[run]\nt_final = 1e-4\n"
+                        f"[certify]\nrandom_frames = 2\nframe_amp = {amp}\n")
+        with np.errstate(all="ignore"):
+            assert main(["certify", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--seed", "1", "--quiet"]) == code
+
     def test_genuine_run_passes(self, tmp_path):
         cfg = write_cfg(tmp_path / "run.cfg",
                         "[grid]\nn = 8\n[run]\nt_final = 0.004\n")

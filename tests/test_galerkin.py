@@ -1,5 +1,12 @@
 import functools
+import json
 import logging
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -695,8 +702,10 @@ class TestGalerkinRun:
         assert np.abs(s_v).max() < 1e-12
 
     def test_rhs_projection_matches_direct_quadrature(self, grid16, rng):
-        # an independently assembled <source, basis> quadrature at one mode
-        from abimhd.galerkin import _galerkin_rhs_arrays, _grid_sources
+        # an independently assembled <source, basis> quadrature at one mode,
+        # of the composed-kernel oracle's grid sources
+        from abimhd.galerkin import _galerkin_rhs_arrays
+        from test_spectral_rhs import ComposedOracle, oracle_grid_sources
         tb = TrigBasis(7, grid16)
         cfg = GalerkinConfig(N=7, eps=0.2, l=1)
         h0, B0, D0, P0 = consistent_galerkin_data(grid16)
@@ -708,7 +717,8 @@ class TestGalerkinRun:
         cv = mass_solve(tb, h0.values, chi_v)
         d = tb.synthesize(cd)
         v = tb.synthesize(cv)
-        S, Ngrid = _grid_sources(grid16, h0.values, B0.values, d, v, cfg.eps)
+        S, Ngrid = oracle_grid_sources(ComposedOracle(16), h0.values,
+                                       B0.values, d, v, cfg.eps)
         kvec = tb.kvecs[3]
         x, y, z = grid16.mesh
         phase = 2 * np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z)
@@ -873,8 +883,9 @@ class TestPicard:
             assert abs(row[2] - ref) <= 1e-12 * ref
 
     def test_one_gram_build_per_node_and_sweep(self, monkeypatch):
-        # one at t = 0, then one mass solve per node of every sweep; the
-        # accepted nodes build no Gram matrix of their own
+        # one at t = 0, then one mass solve per node after the first of
+        # every sweep, and one for each distinct z(0) the t = 0 node sees;
+        # the accepted nodes build no Gram matrix of their own
         from abimhd import galerkin as gk
 
         grid = GridSpec(8)
@@ -886,12 +897,112 @@ class TestPicard:
         gram, k_operator = TrigBasis.gram, gk._k_operator
         monkeypatch.setattr(TrigBasis, "gram",
                             lambda tb, rho: grams.append(1) or gram(tb, rho))
-        monkeypatch.setattr(gk, "_k_operator",
-                            lambda *a: sweeps.append(1) or k_operator(*a))
+        monkeypatch.setattr(
+            gk, "_k_operator",
+            lambda *a: sweeps.append(a[7].at(0.0).tobytes()) or k_operator(*a))
         picard_iterate(h0, B0, zero, zero, cfg)
         m = 7                                   # ceil(sigma / dt) + 1 nodes
         assert len(sweeps) >= 2
-        assert len(grams) == 1 + len(sweeps) * m
+        assert len(set(sweeps)) <= 2
+        assert len(grams) == 1 + len(sweeps) * (m - 1) + len(set(sweeps))
+
+    def test_t0_node_is_computed_at_most_twice_per_subinterval(
+            self, monkeypatch):
+        # the t = 0 node depends on the iterate only through z(0), which
+        # settles after one sweep; its memo must give the outputs of a
+        # recomputation in every sweep bit for bit
+        from abimhd import galerkin as gk
+
+        grid = GridSpec(8)
+        h0, B0 = single_mode_pair(grid)
+        zero = VectorField3.zero(grid)
+        cfg = GalerkinConfig(N=7, eps=0.1, l=1, dt=2e-4, T=1.2e-3,
+                             picard=True, picard_tol=1e-11, sigma=6e-4)
+        k_operator, transport = gk._k_operator, gk.transport
+        node_sources = gk._node_sources
+        subintervals, starts, sources = [], [], []
+
+        def sweep(*a):
+            subintervals.append(a[4])           # hB0 names the subinterval
+            return k_operator(*a)
+
+        def moved(*a, **kw):
+            if a[4] == 0.0:
+                starts.append(a[3])
+            return transport(*a, **kw)
+
+        monkeypatch.setattr(gk, "_k_operator", sweep)
+        monkeypatch.setattr(gk, "transport", moved)
+        monkeypatch.setattr(gk, "_node_sources",
+                            lambda *a: sources.append(1) or node_sources(*a))
+        memo = picard_iterate(h0, B0, zero, zero, cfg)
+        m = 4                                   # ceil(sigma / dt) + 1 nodes
+        node0 = len(sources) - len(subintervals) * (m - 1)
+        assert node0 == len(starts)
+        distinct = [b for i, b in enumerate(subintervals)
+                    if all(b is not a for a in subintervals[:i])]
+        assert len(distinct) == 2
+        for hB0 in distinct:
+            sweeps = sum(b is hB0 for b in subintervals)
+            assert sweeps >= 3
+            assert 1 <= sum(b is hB0 for b in starts) <= 2
+
+        # bypassed: a fresh memo in every sweep recomputes the t = 0 node
+        monkeypatch.setattr(gk, "_k_operator",
+                            lambda *a: k_operator(*a[:-1], {}))
+        fresh = picard_iterate(h0, B0, zero, zero, cfg)
+
+        def raw(traj):
+            return (np.array(traj.times).tobytes()
+                    + np.array(traj.diagnostics).tobytes()
+                    + b"".join(np.concatenate([
+                        s.h.values.ravel(), s.B.values.ravel(),
+                        s.d_coeffs.ravel(), s.v_coeffs.ravel()]).tobytes()
+                        for s in traj.states))
+
+        assert raw(memo) == raw(fresh)
+
+    def test_oversized_node_set_exits_2_before_any_transport(self,
+                                                             tmp_path):
+        # sigma = T = 1 at dt = 1e-5 asks for 100,001 nodes at n = 16: two
+        # sweeps of their (h, B) are 26 GB, past the child's 2 GB cap
+        child = textwrap.dedent("""
+            import json, sys, time, tracemalloc
+            from abimhd import galerkin
+            from abimhd.cli import main
+            moved = []
+            galerkin.transport = lambda *a, **k: moved.append(a)
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            code = main(sys.argv[1:])
+            print(json.dumps({
+                "code": code, "seconds": time.perf_counter() - t0,
+                "moved": len(moved),
+                "peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
+        """)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[grid]\nn = 16\n[galerkin]\npicard = true\n"
+                       "sigma = 1.0\nT = 1.0\ndt = 1e-5\n")
+        src = str(Path(galerkin.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "galerkin-run", "--config",
+             str(cfg), "--out", str(tmp_path / "o"), "--quiet"],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=limit)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["code"] == 2, proc.stderr
+        assert report["moved"] == 0
+        assert report["seconds"] < 1.0
+        assert report["peak_mb"] < 100
+        assert "26.2 GB" in proc.stderr
 
     def test_lands_on_T_by_the_relative_rule(self, monkeypatch):
         # 256 subintervals of 0.01 accumulate t_base = 2.56 only to within
@@ -902,7 +1013,7 @@ class TestPicard:
         h0 = ScalarField.constant(grid, 1.0)
         zero = VectorField3.zero(grid)
 
-        def converged(g, tb, cfg, quad_times, hB0, chi_d, chi_v, z):
+        def converged(g, tb, cfg, quad_times, hB0, chi_d, chi_v, z, node0):
             nodes = [(h0.values, zero.values, chi_d, chi_v)] * len(quad_times)
             coeffs = np.stack([z.at(t) for t in quad_times])
             return CoefficientTrajectory(quad_times, coeffs), nodes

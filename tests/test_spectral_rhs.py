@@ -220,12 +220,19 @@ def galerkin_sample(n, kind, N=47, seed=7):
     return g, tb, galerkin.GalerkinConfig(N=N, eps=0.2, l=1), h, B, cd, cv
 
 
-@pytest.mark.parametrize("n,kind", CASES)
-def test_galerkin_grid_sources_match_oracle(n, kind):
-    g, tb, cfg, h, B, cd, cv = galerkin_sample(n, kind)
-    d, v = tb.synthesize(cd), tb.synthesize(cv)
-    got = galerkin._grid_sources(g, h, B, d, v, cfg.eps)
-    want = oracle_grid_sources(ComposedOracle(n), h, B, d, v, cfg.eps)
+# n = 8 with N = 47 reaches |k_i| = 3 > n // 3, where the band drops the
+# sources; N = 81 reaches |k_i| = 4
+@pytest.mark.parametrize("n,kind,N", [(n, kind, 47) for n, kind in CASES]
+                         + [(8, "band", 47), (16, "band", 81)])
+def test_galerkin_projected_sources_match_oracle(n, kind, N):
+    # the transform-free sources against the projection of the oracle's
+    # grid sources, at chi = 0
+    g, tb, cfg, h, B, cd, cv = galerkin_sample(n, kind, N)
+    c = np.stack([cd, cv])
+    dv = tb.synthesize(c)
+    got = galerkin._projected_sources(tb, cfg, h, B, c, dv, np.zeros_like(c))
+    S, N_src = oracle_grid_sources(ComposedOracle(n), h, B, *dv, cfg.eps)
+    want = tb.project(np.stack([S, N_src])) - tb.lam ** cfg.l * c
     assert rel_dev(got, want) <= RTOL
 
 
@@ -248,7 +255,7 @@ def test_picard_node_sources_equal_mol_sources(n, N):
     chi_d = galerkin.mass_apply(tb, h, cd)
     chi_v = galerkin.mass_apply(tb, h, cv)
     mol = galerkin._galerkin_rhs_arrays(g, tb, (h, B, chi_d, chi_v), cfg)[2:]
-    node = galerkin._node_sources(g, tb, cfg, h, B, cd, cv)
+    node = galerkin._node_sources(tb, cfg, h, B, cd, cv)
     assert rel_dev(node, mol) <= RTOL
 
 
@@ -371,11 +378,9 @@ def test_certify_readers_reuse_the_cached_pair(transforms):
 
 def test_galerkin_transform_counts(transforms):
     g, tb, cfg, h, B, cd, cv = galerkin_sample(16, "band", 7)
-    d, v = tb.synthesize(cd), tb.synthesize(cv)
-    assert transforms(galerkin._grid_sources, g, h, B, d, v, cfg.eps) <= 45
     y = (h, B, galerkin.mass_apply(tb, h, cd), galerkin.mass_apply(tb, h, cv))
-    assert transforms(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) <= 60
-    assert transforms(galerkin._node_sources, g, tb, cfg, h, B, cd, cv) <= 45
+    assert transforms(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) == 13
+    assert transforms(galerkin._node_sources, tb, cfg, h, B, cd, cv) == 0
 
 
 def test_entropy_transform_counts(transforms):
@@ -442,7 +447,6 @@ def test_transforms_per_rhs_pinned(monkeypatch):
     assert split(abi_rhs, AbiState(s.h, s.B, VectorField3(g, D),
                                    VectorField3(g, P))) == (16, 10)
     g, tb, cfg, h, B, cd, cv = galerkin_sample(16, "band", 7)
-    d, v = tb.synthesize(cd), tb.synthesize(cv)
-    assert split(galerkin._grid_sources, g, h, B, d, v, cfg.eps) == (25, 18)
+    assert split(galerkin._node_sources, tb, cfg, h, B, cd, cv) == (0, 0)
     y = (h, B, galerkin.mass_apply(tb, h, cd), galerkin.mass_apply(tb, h, cv))
-    assert split(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) == (34, 22)
+    assert split(galerkin._galerkin_rhs_arrays, g, tb, y, cfg) == (9, 4)
