@@ -31,6 +31,7 @@ from .fields import (
     _energy_arrays,
     _matvec,
     cross3,
+    cross_component,
     guarded_reciprocal,
     require_positive,
     vec_norm,
@@ -98,25 +99,47 @@ class AbiTendency:
     dP: np.ndarray
 
 
-def _rhs_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray, D: np.ndarray,
-                P: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Tendencies of (h, B, D, P): 16 forward, 10 inverse transforms. Each
-    band flux is dropped once inverted, and the signs flip in place."""
+def _rhs_arrays(g: GridSpec, y: list) -> tuple[np.ndarray, ...]:
+    """Tendencies of the stage y = [h, B, D, P]: 16 forward, 10 inverse
+    transforms. y is emptied, and each of its arrays is dropped once nothing
+    left reads it: h once r = 1/h exists, B and D once the band spectra of
+    the two curl fluxes and of dP are formed (one component at a time), P
+    once the spectrum of div P is accumulated. Only then are the outputs
+    inverted, one component at a time, their signs flipping on the way in."""
+    h, B, D, P = y
+    y.clear()
     r = guarded_reciprocal(h)
-    dB = g.ifft(g.curl_hat(g.fft((cross3(B, P) + D) * r, band=True)))
-    dD = g.ifft(g.curl_hat(g.fft((cross3(D, P) - B) * r, band=True)))
+    del h
+    flux_B = np.empty((3, *g._band_shape), dtype=complex)
+    flux_D = np.empty_like(flux_B)
+    for i in range(3):
+        flux_B[i] = g.fft((cross_component(B, P, i) + D[i]) * r, band=True)
+        flux_D[i] = g.fft((cross_component(D, P, i) - B[i]) * r, band=True)
     dP = g.div_sym_masked((P[i] * P[j] - B[i] * B[j] - D[i] * D[j]) * r
                           for i, j in SYM_PAIRS)
     dP -= g.grad_hat(g.fft(r, band=True))
-    return tuple(np.negative(a, out=a)
-                 for a in (g.div_arr(P), dB, dD, g.ifft(dP)))
+    del B, D, r
+    ik = g._ik
+    div_P = g.fft(P[0]) * ik[0]
+    for i in (1, 2):
+        div_P += g.fft(P[i]) * ik[i]
+    del P
+    dh = g.ifft(div_P)
+    del div_P
+
+    def negated_inverse(vh):
+        out = np.empty((3, *g.shape))
+        for i in range(3):
+            np.negative(g.ifft(vh[i]), out=out[i])
+        return out
+
+    return (np.negative(dh, out=dh), negated_inverse(g.curl_hat(flux_B)),
+            negated_inverse(g.curl_hat(flux_D)), negated_inverse(dP))
 
 
 def abi_rhs(s: AbiState) -> AbiTendency:
-    g = s.grid
-    dh, dB, dD, dP = _rhs_arrays(g, s.h.values, s.B.values, s.D.values,
-                                 s.P.values)
-    return AbiTendency(dh, dB, dD, dP)
+    return AbiTendency(*_rhs_arrays(
+        s.grid, [s.h.values, s.B.values, s.D.values, s.P.values]))
 
 
 def abi_cfl_dt(s: AbiState) -> float:
@@ -132,7 +155,7 @@ def abi_step(s: AbiState, dt: float) -> AbiState:
     g = s.grid
 
     def rhs(y):
-        return _rhs_arrays(g, *y)
+        return _rhs_arrays(g, y)
 
     h, B, D, P = rk4_step((s.h.values, s.B.values, s.D.values, s.P.values),
                           dt, rhs)
@@ -195,13 +218,15 @@ class AbiTrajectory:
                    "div_B", "div_D", "min_h", "max_v")
 
 
-def abi_run(s0: AbiState, dt: float, n_steps: int,
+def abi_run(s0: AbiState | list[AbiState], dt: float, n_steps: int,
             save_every: int = 1) -> AbiTrajectory:
     """March n_steps of RK4, saving states every `save_every` steps.
 
     Diagnostics are recorded at every step. A blow-up detector terminates
     the run (with a diagnostic) as soon as any field's sup norm exceeds
-    `stepping.BLOWUP_FACTOR` times the initial scale.
+    `stepping.BLOWUP_FACTOR` times the initial scale. An s0 handed over in
+    a one-element list is emptied from it and freed after the first step;
+    the trajectory then keeps its diagnostics row but not the state.
     """
     def observe(t: float, s: AbiState):
         c = abi_constraints(s)

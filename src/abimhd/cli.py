@@ -111,20 +111,26 @@ def _cmd_abi_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
 
+    def write_state(tag, s):
+        write_snapshot(out / f"abi_{tag}.abim", grid,
+                       [s.h.values, *s.B.values, *s.D.values, *s.P.values])
+
     grid = GridSpec(cfg.get_int("grid.n", 32))
-    s0 = _abi_initial(cfg, grid, rng)
+    # the start is handed to the run in a list, which frees it after the
+    # first step; nothing else here may hold it
+    start = [_abi_initial(cfg, grid, rng)]
     # half the initial bound leaves room for the bound to shrink as the
     # state evolves; the step guard checks every step against its own state
-    dt = cfg.get_float("run.dt", 0.5 * abi_cfl_dt(s0), exclusive_min=0.0)
+    dt = cfg.get_float("run.dt", 0.5 * abi_cfl_dt(start[0]),
+                       exclusive_min=0.0)
     t_final = cfg.get_float("run.t_final", 0.1, exclusive_min=0.0)
     n_steps = max(1, int(round(t_final / dt)))
 
     # only the initial and final states are written
-    traj = abi_run(s0, dt, n_steps, save_every=n_steps)
+    write_state("initial", start[0])
+    traj = abi_run(start, dt, n_steps, save_every=n_steps)
     write_csv(out / "abi_diagnostics.csv", traj.DIAG_HEADER, traj.diagnostics)
-    for tag, s in (("initial", traj.states[0]), ("final", traj.states[-1])):
-        write_snapshot(out / f"abi_{tag}.abim", grid,
-                       [s.h.values, *s.B.values, *s.D.values, *s.P.values])
+    write_state("final", traj.states[-1])
     if not quiet:
         row = traj.diagnostics[-1]
         print(f"abi-run: {n_steps} steps to t={row[0]:g}; entropy {row[1]:.12g}; "
@@ -137,19 +143,23 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
 
+    def write_state(tag, s):
+        write_snapshot(out / f"dmhd_{tag}.abim", grid,
+                       [s.h.values, *s.B.values])
+
     grid = GridSpec(cfg.get_int("grid.n", 32))
-    h0, B0 = _scenario_pair(cfg, grid, rng)
-    s0 = DmhdState(h0, B0)
-    dt = cfg.get_float("run.dt", dmhd_cfl_dt(s0), exclusive_min=0.0)
+    # handed over as in abi-run: the run frees the start, and its cached
+    # (D, P), after the first step
+    start = [DmhdState(*_scenario_pair(cfg, grid, rng))]
+    dt = cfg.get_float("run.dt", dmhd_cfl_dt(start[0]), exclusive_min=0.0)
     t_final = cfg.get_float("run.t_final", 0.01, exclusive_min=0.0)
     n_steps = max(1, int(round(t_final / dt)))
 
     # only the initial and final states are written
-    traj = dmhd_run(s0, dt, n_steps, save_every=n_steps)
+    write_state("initial", start[0])
+    traj = dmhd_run(start, dt, n_steps, save_every=n_steps)
     write_csv(out / "dmhd_diagnostics.csv", traj.DIAG_HEADER, traj.diagnostics)
-    for tag, s in (("initial", traj.states[0]), ("final", traj.states[-1])):
-        write_snapshot(out / f"dmhd_{tag}.abim", grid,
-                       [s.h.values, *s.B.values])
+    write_state("final", traj.states[-1])
     if not quiet:
         e = traj.energies()
         print(f"dmhd-run: {n_steps} steps; energy {e[0]:.12g} -> {e[-1]:.12g}")
@@ -198,10 +208,12 @@ def _cmd_mollify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     text = Path(data_path).read_text()
     data = RoughInitialData.parse(text, grid, Path(data_path).parent)
     schedule = cfg.get_float_list("mollify.eps_schedule", [0.2, 0.1, 0.05])
-    report = lambda_monotonicity_check(data, schedule)
-    for eps, (h_eps, B_eps) in zip(report.eps_schedule, report.mollified):
+
+    def write_width(eps, h_eps, B_eps):
         write_snapshot(out / f"mollified_eps{eps:g}.abim", grid,
                        [h_eps.values, *B_eps.values])
+
+    report = lambda_monotonicity_check(data, schedule, write_width)
     footer = ()
     if report.reference is not None:
         footer = (f"# reference_lambda={format_float(report.reference)}",)

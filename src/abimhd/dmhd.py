@@ -115,7 +115,8 @@ def _induction_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
     dealiased before the product: 6 forward, 6 inverse transforms."""
     r = guarded_reciprocal(h)
     flux = g.fft(cross3(B, g.dealias_arr(P * r)) + D * r, band=True)
-    return -g.ifft(g.curl_hat(flux))
+    dB = g.ifft(g.curl_hat(flux))
+    return np.negative(dB, out=dB)
 
 
 def _rhs_arrays(g: GridSpec, h: np.ndarray,
@@ -123,7 +124,7 @@ def _rhs_arrays(g: GridSpec, h: np.ndarray,
     D, P_hat = _constitutive_spectra(g, h, B)
     P, div_P = g.ifft(P_hat), g.ifft(g.div_hat(P_hat))
     del P_hat       # frees the spectrum before the tendency's temporaries
-    return -div_P, _induction_arrays(g, h, B, D, P)
+    return np.negative(div_P, out=div_P), _induction_arrays(g, h, B, D, P)
 
 
 def _state_tendency(s: DmhdState) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +184,15 @@ class DmhdTrajectory:
         return np.array([row[1] for row in self.diagnostics])
 
 
-def dmhd_run(s0: DmhdState, dt: float, n_steps: int,
+def dmhd_run(s0: DmhdState | list[DmhdState], dt: float, n_steps: int,
              save_every: int = 1) -> DmhdTrajectory:
     """March n_steps of RK4, saving states every `save_every` steps.
 
     Diagnostics are recorded at every step; the run aborts once a sup norm
-    exceeds `stepping.BLOWUP_FACTOR` times the initial scale.
+    exceeds `stepping.BLOWUP_FACTOR` times the initial scale. An s0 handed
+    over in a one-element list is emptied from it and freed, with its
+    cached (D, P), after the first step; the trajectory then keeps its
+    diagnostics row but not the state.
     """
     def observe(t: float, s: DmhdState):
         return s, (t, energy(s), dissipation(s), float(s.h.values.mean()),

@@ -420,10 +420,14 @@ def guarded_reciprocal(h: np.ndarray) -> np.ndarray:
 # Shared pointwise algebra, energy integral and exact point evaluation.
 # ----------------------------------------------------------------------
 
+def cross_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
+    """Component i of a x b."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return a[j] * b[k] - a[k] * b[j]
+
+
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    return np.stack([cross_component(a, b, i) for i in range(3)])
 
 
 def vec_norm(a: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -212,7 +213,6 @@ class MonotonicityReport:
     eps_schedule: list[float]
     lambda_values: list[float]
     reference: float | None   # modulated energy of the rough data, if finite
-    mollified: list[tuple[ScalarField, VectorField3]]   # (h, B) per width
 
     def bounded_by_reference(self, tol: float = 1e-10) -> bool:
         if self.reference is None:
@@ -220,14 +220,19 @@ class MonotonicityReport:
         return all(v <= self.reference + tol for v in self.lambda_values)
 
 
-def lambda_monotonicity_check(data: RoughInitialData,
-                              eps_schedule) -> MonotonicityReport:
+def lambda_monotonicity_check(
+        data: RoughInitialData, eps_schedule,
+        each: Callable[[float, ScalarField, VectorField3], None] | None = None
+) -> MonotonicityReport:
     """Modulated energy of the mollified data along a decreasing eps schedule.
 
     For pure density data the rough reference integral((1+|B0|^2)/(2 h0)) is
     computed directly (+inf marker if h0 vanishes against |U0| > 0); for
     atomic data there is no reference and the trend is logged only. Every
-    width is checked before anything is computed, and each is mollified once.
+    width is checked before anything is computed, and each is mollified
+    once: each(eps, h, B), when given, receives that width's fields, which
+    are dropped before the next width, so memory does not grow with the
+    schedule.
     """
     for eps in eps_schedule:
         _check_eps(eps)
@@ -244,7 +249,11 @@ def lambda_monotonicity_check(data: RoughInitialData,
     if not data.atoms and data.h_density is not None:
         reference = energy(data.h_density, VectorField3.zero(data.grid)
                            if data.B_density is None else data.B_density)
-    mollified = [mollify(data, eps) for eps in eps_schedule]
-    values = [energy(h, B) for h, B in mollified]
-    return MonotonicityReport(list(eps_schedule), values, reference,
-                              mollified)
+    values = []
+    for eps in eps_schedule:
+        h, B = mollify(data, eps)
+        values.append(energy(h, B))
+        if each is not None:
+            each(eps, h, B)
+        del h, B
+    return MonotonicityReport(list(eps_schedule), values, reference)

@@ -1,6 +1,9 @@
 """Shared explicit time stepping: the RK4 step, the marching loop, the
 running trapezoid quadrature and the solver error types. An RK4 step holds
-y, one running sum of its tendencies, one stage and the RHS's transient."""
+y, one running sum of its tendencies (k1 until the sum exists) and one
+stage or tendency, besides the RHS's own work. Each stage goes to the RHS
+in a fresh list, so an RHS that empties it and drops each input once read
+never holds a whole stage next to a whole tendency."""
 
 from __future__ import annotations
 
@@ -31,25 +34,31 @@ BLOWUP_FACTOR = 10.0    # sup-norm growth over the initial scale that aborts
 STOP_RTOL = 1e-12       # a step lands on a stop within this share of the stop
 
 
-def rk4_step(y: State, dt: float, rhs: Callable[[State], State],
+def _taken(k: list):
+    """The entries of k in order, each dropped from k as it is read."""
+    for i, b in enumerate(k):
+        k[i] = None
+        yield b
+
+
+def rk4_step(y: State, dt: float, rhs: Callable[[list], State],
              k1: State | None = None) -> State:
     """One classical Runge-Kutta step on a tuple of arrays (or floats).
 
     k1 is rhs(y) when the caller already holds it; it is derived otherwise.
-    The running sum ((k1 + 2 k2) + 2 k3) + k4 keeps the textbook order and
-    grows in place once each next stage is formed; y and k1 are only read.
+    rhs gets each stage as a fresh list, which it may empty (the first as
+    list(y)). The running sum ((k1 + 2 k2) + 2 k3) + k4 keeps the textbook
+    order and grows in place; each tendency entry is dropped from the
+    step's own list as soon as its last reader has read it. y, k1 and
+    every tendency are only read.
     """
-    if k1 is None:
-        k1 = rhs(y)
-    k = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    acc = [b1 + 2.0 * b2 for b1, b2 in zip(k1, k)]
-    del k1
-    for c, w in ((0.5, 2.0), (1.0, None)):      # k4 is added unscaled
-        stage = tuple(a + c * dt * b for a, b in zip(y, k))
-        del k
-        k = rhs(stage)
-        del stage
-        acc = [iadd(s, b if w is None else w * b) for s, b in zip(acc, k)]
+    k1 = list(rhs(list(y)) if k1 is None else k1)
+    k = list(rhs([a + 0.5 * dt * b for a, b in zip(y, k1)]))
+    acc = [b1 + 2.0 * b2 for b1, b2 in zip(_taken(k1), k)]
+    k = list(rhs([a + 0.5 * dt * b for a, b in zip(y, _taken(k))]))
+    acc = [iadd(s, 2.0 * b) for s, b in zip(acc, k)]
+    k = list(rhs([a + dt * b for a, b in zip(y, _taken(k))]))
+    acc = [iadd(s, b) for s, b in zip(acc, _taken(k))]      # k4 unscaled
     return tuple(iadd(imul(s, dt / 6.0), a) for a, s in zip(y, acc))
 
 
@@ -82,7 +91,8 @@ def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
+def march(y0: Y | list[Y], step: Callable[[Y, float], Y],
+          stops: Iterable[float],
           dt_bound: Callable[[Y], float], keep_every: int = 1,
           observe: Callable[[float, Y], tuple] | None = None,
           sup: Callable[[Y], float] | None = None
@@ -101,6 +111,10 @@ def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
     stop and at the last stop; rows are kept at every call. With `sup`, a
     step whose sup(y) exceeds BLOWUP_FACTOR times the initial scale raises
     BlowUpError. Returns (times, records, rows).
+
+    A y0 handed over in a one-element list is taken out of it, so that the
+    march holds the start's last reference and lets it go after the first
+    step; the t = 0 row is kept, but not the t = 0 record or time.
     """
     stops = [float(s) for s in stops]
     if not all(b > a for a, b in zip([0.0, *stops], stops)):
@@ -109,11 +123,12 @@ def march(y0: Y, step: Callable[[Y, float], Y], stops: Iterable[float],
     def record(t, y):
         return (y, None) if observe is None else observe(t, y)
 
-    kept, row = record(0.0, y0)
-    times, records = [0.0], [kept]
+    handed = isinstance(y0, list)
+    y, t = (y0.pop() if handed else y0), 0.0
+    kept, row = record(t, y)
+    times, records = ([], []) if handed else ([t], [kept])
     rows = [] if row is None else [row]
-    sup0 = None if sup is None else sup(y0)
-    y, t = y0, 0.0
+    sup0 = None if sup is None else sup(y)
     for j, stop in enumerate(stops, start=1):
         landed = False
         while not landed:

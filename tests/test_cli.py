@@ -6,7 +6,7 @@ import pytest
 from abimhd import abi, compare, dmhd, entropy, galerkin
 from abimhd.cli import main
 from abimhd.fields import GridSpec
-from abimhd.snapshots import read_snapshot
+from abimhd.snapshots import read_snapshot, write_snapshot
 
 
 def write_cfg(path, text):
@@ -304,10 +304,15 @@ class TestOtherSubcommands:
         rough = mollify_mod.RoughInitialData.parse(data.read_text(),
                                                    GridSpec(8))
         for eps in calls:
-            _, comps = read_snapshot(out / f"mollified_eps{eps:g}.abim")
+            name = f"mollified_eps{eps:g}.abim"
+            _, comps = read_snapshot(out / name)
             h, B = real(rough, eps)
             assert np.array_equal(comps[0], h.values)
             assert np.array_equal(np.stack(comps[1:]), B.values)
+            # written as it is computed, the snapshot keeps its bytes
+            write_snapshot(tmp_path / name, GridSpec(8),
+                           [h.values, *B.values])
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     @pytest.mark.parametrize("text", [
         "atoms 3\n0.5 0.5 0.5 1.0\n",

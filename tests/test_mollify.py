@@ -180,7 +180,7 @@ class TestLambdaMonotonicity:
             lambda_monotonicity_check(data, schedule)
         assert calls == []
 
-    def test_report_carries_each_mollified_width(self, grid16, rng):
+    def test_each_mollified_width_is_handed_out(self, grid16, rng):
         dens = ScalarField(
             grid16, 1.0 + 0.5 * random_band_limited(grid16, rng, 2, 1.0).values)
         data = RoughInitialData(
@@ -188,9 +188,13 @@ class TestLambdaMonotonicity:
             B_density=random_divergence_free(grid16, rng, 2, 0.3),
             atoms=(((0.3, 0.7, 0.2), 0.5, (0.1, -0.2, 0.3)),))
         schedule = [0.2, 0.1, 0.05]
-        rep = lambda_monotonicity_check(data, schedule)
-        assert len(rep.mollified) == len(schedule)
-        for eps, (h, B) in zip(schedule, rep.mollified):
+        handed = []
+        rep = lambda_monotonicity_check(
+            data, schedule, lambda eps, h, B: handed.append((eps, h, B)))
+        assert [eps for eps, _, _ in handed] == schedule
+        assert rep.lambda_values == lambda_monotonicity_check(
+            data, schedule).lambda_values
+        for eps, h, B in handed:
             h_ref, B_ref = mollify(data, eps)
             assert np.array_equal(h.values, h_ref.values)
             assert np.array_equal(B.values, B_ref.values)

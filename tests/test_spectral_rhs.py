@@ -206,7 +206,7 @@ def test_dmhd_rhs_matches_oracle(n, kind):
 @pytest.mark.parametrize("n,kind", CASES)
 def test_abi_rhs_matches_oracle(n, kind):
     g, h, B, D, P = sample(n, kind)
-    got = abi._rhs_arrays(g, h, B, D, P)
+    got = abi._rhs_arrays(g, [h, B, D, P])
     assert rel_dev(got, oracle_abi_rhs(ComposedOracle(n), h, B, D, P)) <= RTOL
 
 

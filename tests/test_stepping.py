@@ -214,6 +214,16 @@ def test_march_observes_every_step_and_checks_growth(monkeypatch):
                        lambda y: 1.0, sup=abs)
 
 
+def test_march_takes_over_a_start_handed_in_a_list():
+    # the list is emptied; the t = 0 row stays, the t = 0 record and time go
+    args = (lambda y, dt: 2.0 * y, [1.0, 2.0, 3.0], lambda y: 1.0)
+    kw = dict(observe=lambda t, y: (-y, (t, y)), sup=abs)
+    times, states, rows = stepping.march(1.0, *args, **kw)
+    start = [1.0]
+    assert stepping.march(start, *args, **kw) == (times[1:], states[1:], rows)
+    assert start == []
+
+
 @pytest.mark.parametrize("stops", [[0.02, 0.01], [0.01, 0.01], [0.0, 0.01]])
 def test_unordered_sample_times_rejected_before_any_step(grid16, monkeypatch,
                                                          stops):
