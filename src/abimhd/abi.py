@@ -36,7 +36,7 @@ from .fields import (
     require_positive,
     vec_norm,
 )
-from .stepping import check_positive, check_step, march, rk4_step
+from .stepping import check_positive, check_step, march, rk4_step, uniform_stops
 
 __all__ = [
     "AbiState",
@@ -236,7 +236,7 @@ def abi_run(s0: AbiState | list[AbiState], dt: float, n_steps: int,
                    float(s.h.values.min()), vmax)
 
     return AbiTrajectory(*march(
-        s0, abi_step, [k * dt for k in range(1, n_steps + 1)], lambda s: dt,
+        s0, abi_step, uniform_stops(dt, n_steps), lambda s: dt,
         save_every, observe, AbiState.sup_scale))
 
 

@@ -407,9 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _write_manifest(out, args.subcommand, cfg, args.seed)
         return _HANDLERS[args.subcommand](cfg, out, rng, args.quiet)
-    except (ConfigError, FileNotFoundError, OverflowError) as exc:
-        # an overflow is a step or node count that config numbers put past
-        # the float range, such as run.t_final / run.dt
+    except (ConfigError, OSError, UnicodeDecodeError, OverflowError) as exc:
+        # an input file or --out the run cannot read or write; an overflow is
+        # a step or node count past the float range, such as t_final / dt
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -60,7 +60,7 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         return cls(parse_config_text(text))
 

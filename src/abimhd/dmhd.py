@@ -33,7 +33,7 @@ from .fields import (
     guarded_reciprocal,
     vec_norm,
 )
-from .stepping import check_positive, check_step, march, rk4_step
+from .stepping import check_positive, check_step, march, rk4_step, uniform_stops
 
 __all__ = [
     "DmhdState",
@@ -199,7 +199,7 @@ def dmhd_run(s0: DmhdState | list[DmhdState], dt: float, n_steps: int,
                    s.div_B_sup(), float(s.h.values.min()))
 
     return DmhdTrajectory(*march(
-        s0, dmhd_step, [k * dt for k in range(1, n_steps + 1)], lambda s: dt,
+        s0, dmhd_step, uniform_stops(dt, n_steps), lambda s: dt,
         save_every, observe, DmhdState.sup_scale))
 
 

@@ -20,9 +20,8 @@ certified here: for genuine dissipative solutions the slack
 
 is nonpositive up to quadrature error. Lambda and Lambda~ are the convex
 functionals extending integral(|U|^2 / 2 rho) and its Q-weighted space-time
-analogue; on this grid all measures are represented by densities, so the
-dual supremum is available only as a finite-family lower bound
-(`lambda_dual_lower_bound`) next to the closed forms.
+analogue; on this grid all measures are represented by densities, so both
+are taken in closed form.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .fields import (
     require_positive,
 )
 from .snapshots import format_float, write_csv
-from .stepping import cumulative_trapezoid, march, rk4_step
+from .stepping import cumulative_trapezoid, march, rk4_step, uniform_stops
 
 __all__ = [
     "TestFieldFrame",
@@ -65,14 +64,12 @@ __all__ = [
     "r0",
     "l_operator",
     "lambda_functional",
-    "lambda_dual_lower_bound",
     "lambda_tilde",
     "dissipative_slack",
     "identity_residual_check",
     "q_decomposition_defect",
     "frames_from_dmhd",
     "held_frames",
-    "constant_frame",
     "random_frame",
     "convex_combination",
     "holder_half_quotient",
@@ -83,7 +80,6 @@ DEFAULT_U_FLOOR = 1e-8
 R0_MAX_CANDIDATES = 4096    # worst points the r0 certificate eigensolves
 R0_BOUND_SEEDS = 16         # top-bound points that set the prune's floor
 R0_ROUND_UPS = 8            # ulp-scaled round-up attempts before giving up
-DUAL_FEAS_TOL = 1e-12       # round-off a dual pair's a + |A|^2/2 may exceed 0
 HOLDER_KMAX = 2             # band |k_i| of the Hoelder quotient's test modes
 _NO_CANDIDATES = (np.empty(0), np.empty((0, 10, 10)))
 
@@ -117,20 +113,6 @@ class TestFieldFrame:
     @property
     def grid(self) -> GridSpec:
         return self.h_star_inv.grid
-
-
-def constant_frame(grid: GridSpec, t: float = 0.0, h_star: float = 1.0,
-                   b=(0.0, 0.0, 0.0), d=(0.0, 0.0, 0.0),
-                   v=(0.0, 0.0, 0.0)) -> TestFieldFrame:
-    return TestFieldFrame(
-        t,
-        ScalarField.constant(grid, 1.0 / h_star),
-        VectorField3.constant(grid, b),
-        VectorField3.constant(grid, d),
-        VectorField3.constant(grid, v),
-        ScalarField.constant(grid, 0.0),
-        VectorField3.constant(grid, (0.0, 0.0, 0.0)),
-    )
 
 
 def random_frame(grid: GridSpec, rng: np.random.Generator, t: float = 0.0,
@@ -312,33 +294,6 @@ def _floored_quotient(num: np.ndarray, rho: np.ndarray, X: np.ndarray,
             return math.inf
         return float(np.where(ok, num / np.where(ok, 2.0 * rho, 1.0), 0.0).mean())
     return float((num / (2.0 * rho)).mean())
-
-
-def lambda_dual_lower_bound(rho: ScalarField, U: np.ndarray,
-                            pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-                            ) -> float:
-    """Best lower bound from a finite family of dual test pairs (a, A).
-
-    Each pair must satisfy a + |A|^2 / 2 <= 0 pointwise; the returned value
-    max over pairs of integral(a rho + A . U) never exceeds the closed form.
-    """
-    if not pairs:
-        raise FieldDataError("at least one dual test pair is required")
-    rv = rho.values
-    best = -math.inf
-    for j, (a, A) in enumerate(pairs):
-        a = np.asarray(a, dtype=float)
-        A = np.asarray(A, dtype=float)
-        slackv = a + 0.5 * (A ** 2).sum(0)
-        worst = slackv.max()
-        if worst > DUAL_FEAS_TOL:
-            flat = int(np.argmax(slackv))
-            idx = tuple(int(i) for i in np.unravel_index(flat, slackv.shape))
-            raise FieldDataError(
-                f"dual pair {j} infeasible: a + |A|^2/2 = {worst:g} > 0 "
-                f"at index {idx}")
-        best = max(best, float((a * rv).mean() + (A * U).sum(0).mean()))
-    return best
 
 
 def held_frames(base: TestFieldFrame, times) -> list[TestFieldFrame]:
@@ -588,7 +543,7 @@ class SampleTrajectory:
 
         times, samples, _ = march(
             derived(h0.values, B0.values), step,
-            [k * dt for k in range(1, n_steps + 1)], lambda y: dt)
+            uniform_stops(dt, n_steps), lambda y: dt)
         hs, Bs, Ds, Ps = (np.stack(f) for f in zip(*samples))
         return cls(g, np.asarray(times), hs, Bs, Ds, Ps)
 

@@ -52,7 +52,6 @@ __all__ = [
     "grad",
     "div",
     "curl",
-    "hyper_laplacian",
     "integrate",
     "eval_at",
     "ModalScalar",
@@ -387,13 +386,6 @@ def div(v: VectorField3) -> ScalarField:
 
 def curl(v: VectorField3) -> VectorField3:
     return VectorField3(v.grid, v.grid.curl_arr(v.values))
-
-
-def hyper_laplacian(v: VectorField3, order: int) -> VectorField3:
-    """Apply (-Laplacian)^order: each mode k is scaled by (4 pi^2 |k|^2)^order."""
-    if order < 1:
-        raise FieldDataError(f"hyper-Laplacian order must be >= 1, got {order}")
-    return VectorField3(v.grid, v.grid.hyper_laplacian_arr(v.values, order))
 
 
 def integrate(f: ScalarField) -> float:

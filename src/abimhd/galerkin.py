@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import logging
 import math
-import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,9 @@ from .stepping import (
     check_positive,
     check_step,
     march,
+    require_memory,
     rk4_step,
+    uniform_stops,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,7 +94,6 @@ __all__ = [
     "positive_wavevectors",
     "mass_apply",
     "mass_solve",
-    "flow_map",
     "transport",
     "transport_h",
     "transport_B",
@@ -128,6 +128,10 @@ class TrigBasis:
     def __init__(self, N: int, grid: GridSpec):
         if N < 1:
             raise FieldDataError("basis needs at least one wavevector")
+        cap = ((grid.n - 1) ** 3 - 1) // 2      # half-lattice, |k_i| < n/2
+        if N > cap:
+            raise FieldDataError(f"basis of N={N} wavevectors exceeds the "
+                                 f"{cap} an n={grid.n} grid carries exactly")
         k = positive_wavevectors(N)
         if np.abs(k).max() >= grid.n // 2:
             raise FieldDataError(
@@ -334,20 +338,6 @@ def _march(rates, start: float, end: float, y: tuple, dt_flow: float) -> tuple:
     for _ in range(nsub):
         state = rk4_step(state, dt, tendencies)
     return state[1:]
-
-
-def flow_map(tb: TrigBasis, vtraj, t: float, s: float,
-             x: np.ndarray, dt_flow: float = 1e-3) -> np.ndarray:
-    """Characteristic end points Phi(t, s, x) of dx/dt = v(t, x).
-
-    `vtraj` is a CoefficientTrajectory (evaluated exactly through the
-    basis) or a field model such as UniformField. Integrates with RK4;
-    results are wrapped into [0,1)^3.
-    """
-    vm = _as_model(tb, vtraj)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    (pts,) = _march(lambda time, p: (vm.eval(time, p),), s, t, (x,), dt_flow)
-    return pts % 1.0
 
 
 def transport(tb: TrigBasis, vtraj, dtraj, hB0: ModalScalar, t: float,
@@ -580,7 +570,7 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
 
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     return GalerkinTrajectory(*march(
-        y0, galerkin_step, [k * cfg.dt for k in range(1, n_steps + 1)],
+        y0, galerkin_step, uniform_stops(cfg.dt, n_steps),
         lambda y: cfg.dt, observe=observe, sup=sup))
 
 
@@ -645,21 +635,6 @@ def _node_count(sigma: float, dt: float) -> int:
     return max(3, int(math.ceil(sigma / dt)) + 1)
 
 
-def _available_bytes() -> float:
-    """The smaller of MemAvailable and the soft RLIMIT_AS, in bytes; inf
-    where neither is known."""
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    avail = math.inf if soft == resource.RLIM_INFINITY else float(soft)
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    avail = min(avail, 1024.0 * float(line.split()[1]))
-    except OSError:
-        pass
-    return avail
-
-
 def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
                    P0: VectorField3, cfg: GalerkinConfig) -> GalerkinTrajectory:
     """Fixed-point construction of the relaxation system on [0, T].
@@ -676,12 +651,9 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     """
     g = h0.grid
     m = _node_count(min(cfg.sigma, cfg.T), cfg.dt)
-    need, avail = 2 * m * 4 * g.num_points * 8, _available_bytes()
-    if need > avail:
-        raise FieldDataError(
-            f"picard holds two sweeps of {m} nodes' (h, B): {need / 1e9:.3g} "
-            f"GB, above the {avail / 1e9:.3g} GB available; raise "
-            "galerkin.dt or lower galerkin.sigma")
+    require_memory(2 * m * 4 * g.num_points * 8,
+                   f"picard holds two sweeps of {m} nodes' (h, B)",
+                   "raise galerkin.dt or lower galerkin.sigma")
     tb = TrigBasis(cfg.N, g)
 
     hB = np.concatenate([h0.values[None], B0.values])    # (h, B) at t_base

@@ -29,7 +29,6 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField3,
-    eval_at,
 )
 from .snapshots import read_snapshot
 
@@ -75,13 +74,11 @@ def _gaussian_sum(points: np.ndarray, eps: float, shells: int) -> np.ndarray:
     return out
 
 
-def periodized_gaussian(grid: GridSpec, eps: float,
-                        shells: int | None = None) -> ScalarField:
+def periodized_gaussian(grid: GridSpec, eps: float) -> ScalarField:
     """Unit-mass positive mollifier sampled on the grid."""
     _check_eps(eps)
-    k = gaussian_shell_count(eps) if shells is None else shells
-    return ScalarField(grid,
-                       _gaussian_sum(grid.points, eps, k).reshape(grid.shape))
+    return ScalarField(grid, _gaussian_sum(
+        grid.points, eps, gaussian_shell_count(eps)).reshape(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -124,17 +121,6 @@ class RoughInitialData:
         if self.h_density is not None:
             mass += self.h_density.values.mean()
         return float(mass)
-
-    def pair_scalar(self, f: ScalarField) -> float:
-        """Duality pairing <h0, f> against a smooth test function."""
-        out = 0.0
-        if self.h_density is not None:
-            out += float((self.h_density.values * f.values).mean())
-        if self.atoms:
-            pts = np.array([loc for loc, _, _ in self.atoms], dtype=float)
-            vals = eval_at(f, pts)
-            out += float(sum(m * v for (_, m, _), v in zip(self.atoms, vals)))
-        return out
 
     @classmethod
     def parse(cls, text: str, grid: GridSpec,
@@ -213,11 +199,6 @@ class MonotonicityReport:
     eps_schedule: list[float]
     lambda_values: list[float]
     reference: float | None   # modulated energy of the rough data, if finite
-
-    def bounded_by_reference(self, tol: float = 1e-10) -> bool:
-        if self.reference is None:
-            return True
-        return all(v <= self.reference + tol for v in self.lambda_values)
 
 
 def lambda_monotonicity_check(

@@ -1,12 +1,15 @@
 """Shared explicit time stepping: the RK4 step, the marching loop, the
-running trapezoid quadrature and the solver error types. An RK4 step holds
-y, one running sum of its tendencies (k1 until the sum exists) and one
-stage or tendency, besides the RHS's own work. Each stage goes to the RHS
-in a fresh list, so an RHS that empties it and drops each input once read
-never holds a whole stage next to a whole tendency."""
+running trapezoid quadrature, the fixed-step stop list with its memory
+guard, and the solver error types. An RK4 step holds y, one running sum of
+its tendencies (k1 until the sum exists) and one stage or tendency, besides
+the RHS's own work. Each stage goes to the RHS in a fresh list, so an RHS
+that empties it and drops each input once read never holds a whole stage
+next to a whole tendency."""
 
 from __future__ import annotations
 
+import math
+import resource
 from operator import iadd, imul
 from typing import Callable, Iterable, TypeVar
 
@@ -32,6 +35,9 @@ Y = TypeVar("Y")
 
 BLOWUP_FACTOR = 10.0    # sup-norm growth over the initial scale that aborts
 STOP_RTOL = 1e-12       # a step lands on a stop within this share of the stop
+# bytes a step's stop and diagnostics row keep: the tracemalloc peak per
+# step of a 20,000-stop march with ABI's row, the widest (8 floats)
+STEP_BYTES = 346
 
 
 def _taken(k: list):
@@ -83,6 +89,34 @@ def check_blowup(sup_now: float, sup_initial: float,
         raise BlowUpError(
             f"{context}: sup norm {sup_now:.6g} exceeded {BLOWUP_FACTOR:g}x "
             f"the initial scale {sup_initial:.6g}; terminating")
+
+
+def require_memory(need: float, holder: str, remedy: str) -> None:
+    """FieldDataError when `need` bytes, which `holder` keeps, exceed the
+    smaller of MemAvailable and the soft RLIMIT_AS (no limit where neither
+    is known)."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    avail = math.inf if soft == resource.RLIM_INFINITY else float(soft)
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    avail = min(avail, 1024.0 * float(line.split()[1]))
+    except OSError:
+        pass
+    if need > avail:
+        raise FieldDataError(
+            f"{holder}: {need / 1e9:.3g} GB, above the {avail / 1e9:.3g} GB "
+            f"available; {remedy}")
+
+
+def uniform_stops(dt: float, n_steps: int) -> list[float]:
+    """The stops k*dt, k = 1..n_steps, of a fixed-step run, once its stops
+    and diagnostics rows (STEP_BYTES a step) are known to fit in memory."""
+    require_memory(n_steps * STEP_BYTES,
+                   f"{n_steps} steps keep their stops and diagnostics rows",
+                   "raise the step or shorten the run")
+    return [k * dt for k in range(1, n_steps + 1)]
 
 
 def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 Each test starts fresh interpreters, so that neither the modules pytest has
 already imported nor a BLAS pool it has already started can hide a
-difference; the five processes below are all this file starts.
+difference; the seven processes below are all this file starts.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import abimhd
 
@@ -49,6 +51,17 @@ def run_jobs(tmp_path, tag, jobs, blas_threads=None):
     return proc.stdout, outs
 
 
+def outputs_by_threads(tmp_path, jobs):
+    """The bytes of every output file of `jobs`, run on 1 and on 2 BLAS
+    threads: two lists of one {name: bytes} dict per job."""
+    files = []
+    for threads in (1, 2):
+        _, outs = run_jobs(tmp_path, f"t{threads}", jobs, threads)
+        files.append([{p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                      for out in outs])
+    return files
+
+
 def test_galerkin_run_imports_no_scipy(tmp_path):
     stdout, _ = run_jobs(tmp_path, "run", [
         ("galerkin-run", GALERKIN.format(n=8, N=7, picard=mode))
@@ -58,13 +71,19 @@ def test_galerkin_run_imports_no_scipy(tmp_path):
 
 def test_outputs_identical_across_blas_threads(tmp_path):
     jobs = [("dmhd-run", DMHD),
-            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="false"))]
-    files = []
-    for threads in (1, 2):
-        _, outs = run_jobs(tmp_path, f"t{threads}", jobs, threads)
-        files.append([{p.name: p.read_bytes() for p in sorted(out.iterdir())}
-                      for out in outs])
-    assert [len(f) for f in files[0]] == [4, 4]   # manifest and three outputs
+            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="false")),
+            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="true"))]
+    files = outputs_by_threads(tmp_path, jobs)
+    assert [len(f) for f in files[0]] == [4] * 3   # manifest and three outputs
+    assert files[0] == files[1]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at 2N = 162 the weighted Gram GEMM and its Cholesky factor change bits "
+    "with the OpenBLAS thread count"))
+def test_large_basis_mol_identical_across_blas_threads(tmp_path):
+    files = outputs_by_threads(tmp_path, [
+        ("galerkin-run", GALERKIN.format(n=16, N=81, picard="false"))])
     assert files[0] == files[1]
 
 

@@ -62,6 +62,24 @@ class TestExitCodes:
         assert main(["dmhd-run", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("case", ["config_bytes", "data_dir",
+                                      "data_bytes"])
+    def test_unreadable_input_is_2(self, tmp_path, capsys, case):
+        # each once left a traceback and exit 1
+        cfg = tmp_path / "run.cfg"
+        data = tmp_path / "data.txt"
+        if case == "data_dir":
+            data.mkdir()
+        else:
+            data.write_bytes(b"atoms 1\n0.5 0.5 0.5 \xff\n")
+        if case == "config_bytes":
+            cfg.write_bytes(b"[grid]\nn = 8 # \xe9\n")
+        else:
+            write_cfg(cfg, f"[grid]\nn = 8\n[mollify]\ndata = {data}\n")
+        assert main(["mollify", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_numerical_abort_is_3(self, tmp_path):
         # a step size far beyond the parabolic bound is rejected
         cfg = write_cfg(tmp_path / "run.cfg",

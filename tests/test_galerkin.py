@@ -31,7 +31,6 @@ from abimhd.galerkin import (
     ModalVector,
     TrigBasis,
     UniformField,
-    flow_map,
     galerkin_run,
     mass_apply,
     mass_solve,
@@ -119,6 +118,20 @@ class TestBasis:
         g = GridSpec(4)
         with pytest.raises(FieldDataError):
             TrigBasis(20, g)
+
+    def test_rejects_a_basis_past_the_grid_before_enumerating(
+            self, monkeypatch):
+        # n = 8 carries the (7^3 - 1)/2 = 171 half-lattice vectors with
+        # |k_i| < 4; one more is refused without building a wavevector
+        enumerated = []
+        monkeypatch.setattr(galerkin, "positive_wavevectors",
+                            lambda N: enumerated.append(N))
+        with pytest.raises(FieldDataError, match="N=172 .* the 171"):
+            TrigBasis(172, GridSpec(8))
+        assert enumerated == []
+        monkeypatch.undo()
+        with pytest.raises(FieldDataError, match="cannot carry"):
+            TrigBasis(171, GridSpec(8))     # counted, then |k_i| = 4 found
 
     def test_rejects_an_empty_basis(self, grid16):
         with pytest.raises(FieldDataError, match="at least one wavevector"):
@@ -321,28 +334,6 @@ class TestMassOperator:
         c_small = diffs[0] / dists[0]
         c_large = diffs[2] / dists[2]
         assert c_large < 2.0 * c_small
-
-
-class TestFlowMap:
-    def test_zero_velocity(self, tb16, rng):
-        x = rng.random((6, 3))
-        zero = CoefficientTrajectory.constant((0.0, 1.0), np.zeros((3, 14)))
-        out = flow_map(tb16, zero, 0.4, 0.0, x)
-        assert np.abs(out - x).max() < 1e-14
-
-    def test_constant_velocity(self, tb16, rng):
-        x = rng.random((6, 3))
-        c = np.array([0.3, -0.2, 0.7])
-        out = flow_map(tb16, UniformField(c), 0.5, 0.2, x)
-        assert np.abs(out - (x + 0.3 * c) % 1.0).max() < 1e-13
-
-    def test_shear_closed_form(self, tb16, rng):
-        x = rng.random((8, 3))
-        t = 0.2
-        out = flow_map(tb16, shear_trajectory(tb16), t, 0.0, x, dt_flow=1e-3)
-        exact = np.stack([x[:, 0] + t * np.sin(2 * np.pi * x[:, 1]),
-                          x[:, 1], x[:, 2]], axis=1) % 1.0
-        assert np.abs(out - exact).max() < 1e-8
 
 
 def upwind_1d_oracle(hx, vx, t_end, cells):

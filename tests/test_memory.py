@@ -13,12 +13,20 @@ whose RHS keeps its whole stage, and both are below a step that holds
 every tendency (5.92 and 10.85).
 """
 
+import json
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abimhd
 from abimhd import abi, dmhd
 from abimhd.abi import AbiState, abi_cfl_dt, abi_rhs, abi_step
 from abimhd.cli import main
@@ -169,3 +177,42 @@ def test_mollify_job_memory_does_not_grow_with_the_schedule(tmp_path):
                          str(tmp_path / "o"), "--quiet"])
 
     assert peak("0.2 0.15 0.1 0.08 0.06 0.05") <= 1.2 * peak("0.2")
+
+
+@pytest.mark.parametrize("sub, keys", [
+    ("dmhd-run", "[grid]\nn = 8\n[run]\ndt = 1e-12\nt_final = 1.0\n"),
+    ("identity-check", "[grid]\nn = 12\n[identity]\nsteps = 1000000000000\n"),
+    ("galerkin-run", "[grid]\nn = 8\n[galerkin]\nN = 1000000000\n")],
+    ids=["steps", "identity-steps", "basis"])
+def test_runs_past_memory_exit_2_before_building(tmp_path, sub, keys):
+    # 10^12 stops (346 TB of stops and rows) and a basis of 10^9
+    # wavevectors (a 28.7 GiB enumeration) once ended in a MemoryError
+    child = textwrap.dedent("""
+        import json, sys, time
+        from abimhd.cli import main
+        t0 = time.perf_counter()
+        code = main(sys.argv[1:])
+        print(json.dumps({"code": code,
+                          "seconds": time.perf_counter() - t0}))
+    """)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    src = str(Path(abimhd.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = 3 << 29      # 1.5 GiB of address space
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", child, sub, "--config", str(cfg), "--out",
+         str(tmp_path / "o"), "--quiet"],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=limit)
+    assert proc.stdout, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 2, proc.stderr
+    assert report["seconds"] < 1.0
+    assert "config error: " in proc.stderr

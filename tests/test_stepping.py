@@ -192,6 +192,12 @@ def test_march_fixed_step_uses_dt_unchanged_and_stamps_k_dt():
     assert times == [k * dt for k in kept]
 
 
+def test_uniform_stops_are_k_dt_once_they_fit_in_memory():
+    assert stepping.uniform_stops(0.1, 7) == [k * 0.1 for k in range(1, 8)]
+    with pytest.raises(FieldDataError, match="10+ steps keep .* GB"):
+        stepping.uniform_stops(0.1, 10 ** 15)       # 346 PB of stops and rows
+
+
 def test_march_takes_every_tiny_step():
     dt, n = 1e-15, 40
     for stops in ([k * dt for k in range(1, n + 1)], [n * dt]):
