@@ -278,6 +278,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     )
     from .fields import GridSpec
     from .snapshots import write_csv
+    from .stepping import require_memory
 
     grid = GridSpec(cfg.get_int("grid.n", 16))
     h0, B0 = _scenario_pair(cfg, grid, rng)
@@ -291,6 +292,12 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     frame_args = (cfg.get_int("certify.random_frames", 0, minimum=0),
                   cfg.get_int("scenario.kmax", 2, minimum=1),
                   cfg.get_float("certify.frame_amp", 0.1))
+    # until `del traj` a saved state holds 34 scalar fields: its (h, B), its
+    # cached (D, P), its SampleTrajectory row and its solution frame
+    saves = -(-n_steps // save_every) + 1
+    require_memory(saves * 34 * grid.num_points * 8,
+                   f"certify keeps {saves} saved states",
+                   "raise run.save_every or shorten run.t_final")
 
     traj = dmhd_run(s0, dt, n_steps, save_every=save_every)
     sol = SampleTrajectory.from_dmhd(traj)
@@ -304,7 +311,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     for name, frames in families:
         rep = dissipative_slack(sol, frames)
         rep.write_csv(out / f"entropy_report_{name}.csv")
-        rows.append((rep.r_used, rep.r0, rep.max_slack()))
+        rows.append((rep.r0, rep.r0, rep.max_slack()))    # r_used is r0
         if not quiet:
             print(f"certify[{name}]: r0={rep.r0:.6g} max slack "
                   f"{rep.max_slack():.3e} (tol {tol_slack:.3e})")

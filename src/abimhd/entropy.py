@@ -628,7 +628,6 @@ def _require_shared_times(a: Sequence[float], b: Sequence[float],
 class EntropyReport:
     """Certificate time series for one (trajectory, test-field) pair."""
 
-    r_used: float
     r0: float
     times: np.ndarray
     lambda_t: np.ndarray
@@ -642,8 +641,8 @@ class EntropyReport:
     def write_csv(self, path) -> None:
         rows = zip(self.times, self.lambda_t, self.lambda_tilde_cum,
                    self.R_t, self.slack_t)
-        footer = (f"# r_used={format_float(self.r_used)}"
-                  f" r0={format_float(self.r0)}",)
+        r0 = format_float(self.r0)      # r_used, kept in the format, is r0
+        footer = (f"# r_used={r0} r0={r0}",)
         write_csv(path, ("t", "lambda", "lambda_tilde_cum", "R", "slack"),
                   rows, footer)
 
@@ -679,7 +678,7 @@ def dissipative_slack(sol: SampleTrajectory, frames: Sequence[TestFieldFrame]
     lam_tilde = cumulative_trapezoid(q_int, sol.times)
     R_t = cumulative_trapezoid(r_int, sol.times)
     slack = wt * lam + lam_tilde + R_t - lam[0]
-    return EntropyReport(r, r, sol.times.copy(), lam, lam_tilde, R_t, slack)
+    return EntropyReport(r, sol.times.copy(), lam, lam_tilde, R_t, slack)
 
 
 # ----------------------------------------------------------------------

@@ -30,9 +30,10 @@ coefficient system, the default) and `picard_iterate` (the fixed-point map
 z -> K[z] over subintervals, with characteristics transport of (h, B) and
 time-quadrature of the sources; kept for small N where it mirrors the
 constructive existence argument). Picard carries (h, B) exactly along the
-characteristics of the Galerkin velocity: each node takes one backward RK4
-march from the grid to the feet at time 0 (none at time 0 itself) and one
-pass of the four-component modal of (h, B) there. h picks up the exponential
+characteristics of the Galerkin velocity: each node after time 0 takes one
+backward RK4 march from the grid to the feet at time 0 and one pass of the
+four-component modal of (h, B) there, while the node at time 0 is the
+accepted start of the subinterval itself. h picks up the exponential
 of the accumulated -div v; B follows Cauchy's Lagrangian solution of the
 induction equation, B(t) = Z B0(foot) + c, where the march carries the
 deformation-like matrix Z and a Duhamel term c for curl d. The energy
@@ -530,6 +531,15 @@ def _observation(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, t: float,
     return state, (t, lam_n, kinetic, hyper, float(h.min()))
 
 
+def _require_kept_states(g: GridSpec, cfg: GalerkinConfig) -> None:
+    """FieldDataError unless the about T/dt states a driver keeps, each
+    (h, B) and 12 N coefficients, fit in the available memory."""
+    count = max(1, int(round(cfg.T / cfg.dt))) + 1
+    require_memory(count * (4 * g.num_points + 12 * cfg.N) * 8,
+                   f"{count} kept states hold their (h, B) and coefficients",
+                   "raise galerkin.dt or shorten galerkin.T")
+
+
 def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
                  P0: VectorField3, cfg: GalerkinConfig) -> GalerkinTrajectory:
     """Method-of-lines RK4 on (h, B, chi_d, chi_v) up to time T.
@@ -538,9 +548,11 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     d(0) and v(0) carry the mass-operator-inverted structure of the data.
     The march carries each state with its primal coefficients (cd, cv),
     solved once after each step: the observation and the next step's first
-    stage both read them.
+    stage both read them. Every step's state is kept; if they would not fit
+    in the available memory, FieldDataError is raised before the first step.
     """
     g = h0.grid
+    _require_kept_states(g, cfg)
     tb = TrigBasis(cfg.N, g)
 
     def solved(y):
@@ -585,44 +597,33 @@ def _node_sources(tb: TrigBasis, cfg: GalerkinConfig, h, B, cd, cv):
     return _projected_sources(tb, cfg, h, B, c, dv, tb.project(h * dv))
 
 
-def _k_operator(g, tb, cfg, quad_times, hB0, chi_d0, chi_v0,
-                z: CoefficientTrajectory, node0: dict):
+def _k_operator(g, tb, cfg, quad_times, hB0, z: CoefficientTrajectory,
+                start: tuple):
     """One application of the integral fixed-point map on a subinterval, in
-    one pass over its nodes: each transports (h, B) along the current
-    iterate's velocity, adds its projected sources to the trapezoid time
-    quadrature and mass-solves back to primal coefficients. Returns the new
-    iterate and each node's transported (h, B) and accumulated momenta
+    one pass over its nodes: each node after t = 0 transports (h, B) along
+    the current iterate's velocity, adds its projected sources to the
+    trapezoid time quadrature and mass-solves back to primal coefficients.
+    Returns the new iterate and each node's (h, B) and accumulated momenta
     (chi_d, chi_v).
 
-    The t = 0 node depends on the iterate only through z(0): its (h, B) is
-    hB0 on the grid and its mass solve reads the fixed chi0. `node0`, the
-    subinterval's memo keyed on the bytes of z(0), holds that node, so it
-    is computed in the first sweep and again once z(0) has taken the value
-    of its own mass solve, bit for bit as a recomputation would give it."""
+    The t = 0 node is `start`, the accepted state the subinterval starts
+    from: its (h, B, chi_d, chi_v), its primal coefficients, which are its
+    own mass solve, and its projected sources. So z(0) is the same in every
+    sweep, and no march or mass solve runs at t = 0."""
+    h, B, chi_d, chi_v, c0, prev = start
     cd_traj = CoefficientTrajectory(z.times, z.coeffs[:, 0])
     cv_traj = CoefficientTrajectory(z.times, z.coeffs[:, 1])
-
-    def at_node(t):
+    chi = np.stack([chi_d, chi_v])
+    new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
+    new_coeffs[0] = c0
+    nodes = [(h, B, chi_d, chi_v)]
+    for i in range(1, len(quad_times)):
+        t = quad_times[i]
         h, B = (f.values for f in transport(tb, cv_traj, cd_traj, hB0, t, g))
         if not h.min() > DEFAULT_H_FLOOR:
             raise PositivityError(
                 f"transported density hit the floor at t={t:g}")
-        return h, B, _node_sources(tb, cfg, h, B, cd_traj.at(t),
-                                   cv_traj.at(t))
-
-    chi = np.stack([chi_d0, chi_v0])
-    key = z.at(quad_times[0]).tobytes()
-    if key not in node0:
-        h, B, src = at_node(quad_times[0])
-        node0.clear()
-        node0[key] = (h, B, src, mass_solve(tb, h, chi))
-    h, B, prev, coeffs0 = node0[key]
-    new_coeffs = np.empty((len(quad_times), 2, 3, 2 * tb.N))
-    new_coeffs[0] = coeffs0
-    nodes = [(h, B, chi_d0, chi_v0)]
-    for i in range(1, len(quad_times)):
-        t = quad_times[i]
-        h, B, src = at_node(t)
+        src = _node_sources(tb, cfg, h, B, cd_traj.at(t), cv_traj.at(t))
         chi = chi + 0.5 * (t - quad_times[i - 1]) * (prev + src)
         new_coeffs[i] = mass_solve(tb, h, chi)
         nodes.append((h, B, *chi))
@@ -643,17 +644,20 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     z -> K[z] is iterated from the frozen-coefficient guess until the sup
     coefficient change drops below picard_tol; if the change grows three
     times in a row the subinterval is halved (more than 20 halvings aborts).
-    The next subinterval restarts from the transported end state.
+    The next subinterval restarts from the transported end state, and the
+    end coefficients are its z(0).
 
     A sweep keeps the (h, B) of each node while the previous sweep's are
-    still held; if two sweeps' nodes of the first subinterval would not fit
-    in the available memory, FieldDataError is raised before any transport.
+    still held, and the run keeps a state per accepted node; if two sweeps'
+    nodes of the first subinterval or the kept states would not fit in the
+    available memory, FieldDataError is raised before any transport.
     """
     g = h0.grid
     m = _node_count(min(cfg.sigma, cfg.T), cfg.dt)
     require_memory(2 * m * 4 * g.num_points * 8,
                    f"picard holds two sweeps of {m} nodes' (h, B)",
                    "raise galerkin.dt or lower galerkin.sigma")
+    _require_kept_states(g, cfg)
     tb = TrigBasis(cfg.N, g)
 
     hB = np.concatenate([h0.values[None], B0.values])    # (h, B) at t_base
@@ -662,8 +666,8 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     t_base = 0.0
     sigma = cfg.sigma
     halvings = 0
-    cd0, cv0 = mass_solve(tb, hB[0], np.stack([chi_d, chi_v]))
-    samples = [_observation(g, tb, cfg, 0.0, hB[0], hB[1:], cd0, cv0, chi_d,
+    c0 = mass_solve(tb, hB[0], np.stack([chi_d, chi_v]))
+    samples = [_observation(g, tb, cfg, 0.0, hB[0], hB[1:], *c0, chi_d,
                             chi_v)]    # (state, row) pairs
 
     while cfg.T - t_base > STOP_RTOL * cfg.T:
@@ -671,15 +675,16 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         quad_times = np.linspace(0.0, sigma_eff,
                                  _node_count(sigma_eff, cfg.dt))
         hB0 = ModalScalar.from_values(g, hB)
-        node0: dict = {}
+        h, B = hB[0], hB[1:]
+        if not h.min() > DEFAULT_H_FLOOR:
+            raise PositivityError("transported density hit the floor at t=0")
+        start = (h, B, chi_d, chi_v, c0, _node_sources(tb, cfg, h, B, *c0))
 
-        z = CoefficientTrajectory.constant((0.0, sigma_eff),
-                                           np.stack([cd0, cv0]))
+        z = CoefficientTrajectory.constant((0.0, sigma_eff), c0)
         residuals: list[float] = []
         converged = False
         for _ in range(cfg.picard_max_iter):
-            z_new, nodes = _k_operator(g, tb, cfg, quad_times, hB0,
-                                       chi_d, chi_v, z, node0)
+            z_new, nodes = _k_operator(g, tb, cfg, quad_times, hB0, z, start)
             res = max(float(np.abs(z_new.at(t) - z.at(t)).max())
                       for t in quad_times)
             residuals.append(res)
@@ -706,7 +711,7 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
             samples.append(_observation(g, tb, cfg, t_base + t, h, B, *c,
                                         chi_d, chi_v))
         hB = np.concatenate([h[None], B])
-        cd0, cv0 = z.coeffs[-1]
+        c0 = z.coeffs[-1]
         t_base += sigma_eff
     states, rows = zip(*samples)
     return GalerkinTrajectory([s.t for s in states], list(states), list(rows))

@@ -72,9 +72,13 @@ def test_galerkin_run_imports_no_scipy(tmp_path):
 def test_outputs_identical_across_blas_threads(tmp_path):
     jobs = [("dmhd-run", DMHD),
             ("galerkin-run", GALERKIN.format(n=16, N=33, picard="false")),
-            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="true"))]
+            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="true")),
+            # the hand-over between two Picard subintervals, at a tolerance
+            # that takes two sweeps each
+            ("galerkin-run", GALERKIN.format(n=16, N=33, picard="true").replace(
+                "sigma = 0.0004", "sigma = 0.0002\npicard_tol = 1e-4"))]
     files = outputs_by_threads(tmp_path, jobs)
-    assert [len(f) for f in files[0]] == [4] * 3   # manifest and three outputs
+    assert [len(f) for f in files[0]] == [4] * 4   # manifest and three outputs
     assert files[0] == files[1]
 
 

@@ -875,8 +875,8 @@ class TestPicard:
 
     def test_one_gram_build_per_node_and_sweep(self, monkeypatch):
         # one at t = 0, then one mass solve per node after the first of
-        # every sweep, and one for each distinct z(0) the t = 0 node sees;
-        # the accepted nodes build no Gram matrix of their own
+        # every sweep; the t = 0 node keeps the start's coefficients, so z(0)
+        # never moves, and the accepted nodes build no Gram matrix of their own
         from abimhd import galerkin as gk
 
         grid = GridSpec(8)
@@ -890,18 +890,18 @@ class TestPicard:
                             lambda tb, rho: grams.append(1) or gram(tb, rho))
         monkeypatch.setattr(
             gk, "_k_operator",
-            lambda *a: sweeps.append(a[7].at(0.0).tobytes()) or k_operator(*a))
+            lambda *a: sweeps.append(a[5].at(0.0).tobytes()) or k_operator(*a))
         picard_iterate(h0, B0, zero, zero, cfg)
         m = 7                                   # ceil(sigma / dt) + 1 nodes
         assert len(sweeps) >= 2
-        assert len(set(sweeps)) <= 2
-        assert len(grams) == 1 + len(sweeps) * (m - 1) + len(set(sweeps))
+        assert len(set(sweeps)) == 1
+        assert len(grams) == 1 + len(sweeps) * (m - 1)
 
-    def test_t0_node_is_computed_at_most_twice_per_subinterval(
-            self, monkeypatch):
-        # the t = 0 node depends on the iterate only through z(0), which
-        # settles after one sweep; its memo must give the outputs of a
-        # recomputation in every sweep bit for bit
+    def test_t0_node_is_the_accepted_start(self, monkeypatch):
+        # on each subinterval the t = 0 node is the state it starts from: no
+        # march reaches t = 0, the node's sources are formed once per
+        # attempt, its (h, B) are the start's bytes, z(0) keeps its bytes in
+        # every sweep, and it is the previous subinterval's end coefficients
         from abimhd import galerkin as gk
 
         grid = GridSpec(8)
@@ -911,47 +911,41 @@ class TestPicard:
                              picard=True, picard_tol=1e-11, sigma=6e-4)
         k_operator, transport = gk._k_operator, gk.transport
         node_sources = gk._node_sources
-        subintervals, starts, sources = [], [], []
+        attempts, at_zero, sources = [], [], []
 
         def sweep(*a):
-            subintervals.append(a[4])           # hB0 names the subinterval
-            return k_operator(*a)
+            out = k_operator(*a)
+            if not attempts or attempts[-1][0] is not a[4]:
+                attempts.append((a[4], []))     # hB0 names the attempt
+            attempts[-1][1].append((a[5].coeffs[0].tobytes(), out))
+            return out
 
         def moved(*a, **kw):
-            if a[4] == 0.0:
-                starts.append(a[3])
+            at_zero.append(a[4] == 0.0)
             return transport(*a, **kw)
 
         monkeypatch.setattr(gk, "_k_operator", sweep)
         monkeypatch.setattr(gk, "transport", moved)
         monkeypatch.setattr(gk, "_node_sources",
                             lambda *a: sources.append(1) or node_sources(*a))
-        memo = picard_iterate(h0, B0, zero, zero, cfg)
+        picard_iterate(h0, B0, zero, zero, cfg)
         m = 4                                   # ceil(sigma / dt) + 1 nodes
-        node0 = len(sources) - len(subintervals) * (m - 1)
-        assert node0 == len(starts)
-        distinct = [b for i, b in enumerate(subintervals)
-                    if all(b is not a for a in subintervals[:i])]
-        assert len(distinct) == 2
-        for hB0 in distinct:
-            sweeps = sum(b is hB0 for b in subintervals)
-            assert sweeps >= 3
-            assert 1 <= sum(b is hB0 for b in starts) <= 2
+        sweeps = sum(len(runs) for _, runs in attempts)
+        assert len(attempts) == 2
+        assert at_zero and not any(at_zero)
+        assert len(sources) == len(attempts) + sweeps * (m - 1)
 
-        # bypassed: a fresh memo in every sweep recomputes the t = 0 node
-        monkeypatch.setattr(gk, "_k_operator",
-                            lambda *a: k_operator(*a[:-1], {}))
-        fresh = picard_iterate(h0, B0, zero, zero, cfg)
-
-        def raw(traj):
-            return (np.array(traj.times).tobytes()
-                    + np.array(traj.diagnostics).tobytes()
-                    + b"".join(np.concatenate([
-                        s.h.values.ravel(), s.B.values.ravel(),
-                        s.d_coeffs.ravel(), s.v_coeffs.ravel()]).tobytes()
-                        for s in traj.states))
-
-        assert raw(memo) == raw(fresh)
+        start = (h0.values.tobytes(), B0.values.tobytes())
+        z0 = attempts[0][1][0][0]
+        for _, runs in attempts:
+            assert len(runs) >= 3
+            for z_in, (z_out, nodes) in runs:
+                assert z_in == z0
+                assert z_out.coeffs[0].tobytes() == z0
+                assert (nodes[0][0].tobytes(), nodes[0][1].tobytes()) == start
+            z_end, nodes_end = runs[-1][1]
+            z0 = z_end.coeffs[-1].tobytes()
+            start = (nodes_end[-1][0].tobytes(), nodes_end[-1][1].tobytes())
 
     def test_oversized_node_set_exits_2_before_any_transport(self,
                                                              tmp_path):
@@ -1004,8 +998,8 @@ class TestPicard:
         h0 = ScalarField.constant(grid, 1.0)
         zero = VectorField3.zero(grid)
 
-        def converged(g, tb, cfg, quad_times, hB0, chi_d, chi_v, z, node0):
-            nodes = [(h0.values, zero.values, chi_d, chi_v)] * len(quad_times)
+        def converged(g, tb, cfg, quad_times, hB0, z, start):
+            nodes = [(h0.values, zero.values, *start[2:4])] * len(quad_times)
             coeffs = np.stack([z.at(t) for t in quad_times])
             return CoefficientTrajectory(quad_times, coeffs), nodes
 

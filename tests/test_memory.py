@@ -182,11 +182,18 @@ def test_mollify_job_memory_does_not_grow_with_the_schedule(tmp_path):
 @pytest.mark.parametrize("sub, keys", [
     ("dmhd-run", "[grid]\nn = 8\n[run]\ndt = 1e-12\nt_final = 1.0\n"),
     ("identity-check", "[grid]\nn = 12\n[identity]\nsteps = 1000000000000\n"),
-    ("galerkin-run", "[grid]\nn = 8\n[galerkin]\nN = 1000000000\n")],
-    ids=["steps", "identity-steps", "basis"])
+    ("galerkin-run", "[grid]\nn = 8\n[galerkin]\nN = 1000000000\n"),
+    ("galerkin-run", "[grid]\nn = 16\n[galerkin]\nT = 40\npicard = false\n"),
+    ("galerkin-run", "[grid]\nn = 16\n[galerkin]\nT = 40\npicard = true\n"),
+    ("certify", "[grid]\nn = 16\n[run]\nt_final = 20\nsave_every = 1\n")],
+    ids=["steps", "identity-steps", "basis", "mol-states", "picard-states",
+         "certify-saves"])
 def test_runs_past_memory_exit_2_before_building(tmp_path, sub, keys):
     # 10^12 stops (346 TB of stops and rows) and a basis of 10^9
-    # wavevectors (a 28.7 GiB enumeration) once ended in a MemoryError
+    # wavevectors (a 28.7 GiB enumeration) once ended in a MemoryError;
+    # 2 x 10^5 Galerkin steps keep 69 MB of stops and rows, which fit, but
+    # 26 GB of states, and 1.35 x 10^5 certify saves of 34 fields 151 GB,
+    # which once started stepping
     child = textwrap.dedent("""
         import json, sys, time
         from abimhd.cli import main
