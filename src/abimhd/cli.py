@@ -110,6 +110,7 @@ def _cmd_abi_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .abi import abi_cfl_dt, abi_run
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
+    from .stepping import step_count
 
     def write_state(tag, s):
         write_snapshot(out / f"abi_{tag}.abim", grid,
@@ -124,7 +125,7 @@ def _cmd_abi_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     dt = cfg.get_float("run.dt", 0.5 * abi_cfl_dt(start[0]),
                        exclusive_min=0.0)
     t_final = cfg.get_float("run.t_final", 0.1, exclusive_min=0.0)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = step_count(t_final, dt)
 
     # only the initial and final states are written
     write_state("initial", start[0])
@@ -142,6 +143,7 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     from .dmhd import DmhdState, dmhd_cfl_dt, dmhd_run
     from .fields import GridSpec
     from .snapshots import write_csv, write_snapshot
+    from .stepping import step_count
 
     def write_state(tag, s):
         write_snapshot(out / f"dmhd_{tag}.abim", grid,
@@ -153,7 +155,7 @@ def _cmd_dmhd_run(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     start = [DmhdState(*_scenario_pair(cfg, grid, rng))]
     dt = cfg.get_float("run.dt", dmhd_cfl_dt(start[0]), exclusive_min=0.0)
     t_final = cfg.get_float("run.t_final", 0.01, exclusive_min=0.0)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = step_count(t_final, dt)
 
     # only the initial and final states are written
     write_state("initial", start[0])
@@ -257,13 +259,13 @@ def _cmd_compare(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _certify_frames(traj, rng, extra: int, kmax: int, amp: float):
+def _certify_frames(sol, rng, extra: int, kmax: int, amp: float):
     from .entropy import frames_from_dmhd, held_frames, random_frame
 
-    families = [("solution", frames_from_dmhd(traj))]
+    families = [("solution", frames_from_dmhd(sol))]
     for j in range(extra):
-        base = random_frame(traj.states[0].grid, rng, kmax=kmax, amplitude=amp)
-        families.append((f"random{j}", held_frames(base, traj.times)))
+        base = random_frame(sol.grid, rng, kmax=kmax, amplitude=amp)
+        families.append((f"random{j}", held_frames(base, sol.times)))
     return families
 
 
@@ -278,34 +280,32 @@ def _cmd_certify(cfg: RunConfig, out: Path, rng, quiet: bool) -> int:
     )
     from .fields import GridSpec
     from .snapshots import write_csv
-    from .stepping import require_memory
+    from .stepping import require_memory, step_count
 
     grid = GridSpec(cfg.get_int("grid.n", 16))
-    h0, B0 = _scenario_pair(cfg, grid, rng)
-    s0 = DmhdState(h0, B0)
+    s0 = DmhdState(*_scenario_pair(cfg, grid, rng))
     dt = cfg.get_float("run.dt", dmhd_cfl_dt(s0), exclusive_min=0.0)
     t_final = cfg.get_float("run.t_final", 0.01, exclusive_min=0.0)
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = step_count(t_final, dt)
     save_every = cfg.get_int("run.save_every", max(1, n_steps // 16), minimum=1)
     tol_factor = cfg.get_float("certify.tol_factor", 1e-3, exclusive_min=0.0)
     corrupt = cfg.get_float("certify.momentum_offset", 0.0)
     frame_args = (cfg.get_int("certify.random_frames", 0, minimum=0),
                   cfg.get_int("scenario.kmax", 2, minimum=1),
                   cfg.get_float("certify.frame_amp", 0.1))
-    # until `del traj` a saved state holds 34 scalar fields: its (h, B), its
-    # cached (D, P), its SampleTrajectory row and its solution frame
+    # a save holds 27 scalar fields: its sample row (10), its solution frame
+    # (14) and, with certify.momentum_offset, its new P (3)
     saves = -(-n_steps // save_every) + 1
-    require_memory(saves * 34 * grid.num_points * 8,
+    require_memory(saves * 27 * grid.num_points * 8,
                    f"certify keeps {saves} saved states",
                    "raise run.save_every or shorten run.t_final")
 
-    traj = dmhd_run(s0, dt, n_steps, save_every=save_every)
-    sol = SampleTrajectory.from_dmhd(traj)
-    if corrupt != 0.0:
-        sol = sol.with_momentum_offset(corrupt)
     tol_slack = tol_factor * energy(s0)
-    families = _certify_frames(traj, rng, *frame_args)
-    del traj    # sol and frames hold copies; frees the cached (D, P) pairs
+    sol = SampleTrajectory.from_dmhd(dmhd_run(s0, dt, n_steps, save_every))
+    del s0      # the samples are copies: no run state or cached (D, P) is left
+    families = _certify_frames(sol, rng, *frame_args)
+    if corrupt != 0.0:      # after the frames, which read the true samples
+        sol = sol.with_momentum_offset(corrupt)
 
     rows = []
     for name, frames in families:

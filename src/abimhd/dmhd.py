@@ -127,11 +127,10 @@ def _rhs_arrays(g: GridSpec, h: np.ndarray,
     return np.negative(div_P, out=div_P), _induction_arrays(g, h, B, D, P)
 
 
-def _state_tendency(s: DmhdState) -> tuple[np.ndarray, np.ndarray]:
-    """(dt h, dt B) of s from its cached constitutive pair."""
-    D, P = s.constitutive_pair
-    g = s.grid
-    return -g.div_arr(P), _induction_arrays(g, s.h.values, s.B.values, D, P)
+def _tendency_arrays(g: GridSpec, h: np.ndarray, B: np.ndarray,
+                     D: np.ndarray, P: np.ndarray) -> tuple:
+    """(dt h, dt B) = (-div P, the induction law) of (h, B) with its (D, P)."""
+    return -g.div_arr(P), _induction_arrays(g, h, B, D, P)
 
 
 def dmhd_rhs(s: DmhdState) -> tuple[ScalarField, VectorField3]:
@@ -155,9 +154,9 @@ def dmhd_cfl_dt(s: DmhdState) -> float:
 
 def dmhd_step(s: DmhdState, dt: float) -> DmhdState:
     check_step(dt, dmhd_cfl_dt(s), "parabolic step bound")
-    g = s.grid
-    h, B = rk4_step((s.h.values, s.B.values), dt,
-                    lambda y: _rhs_arrays(g, *y), k1=_state_tendency(s))
+    g, y0 = s.grid, (s.h.values, s.B.values)
+    h, B = rk4_step(y0, dt, lambda y: _rhs_arrays(g, *y),
+                    k1=_tendency_arrays(g, *y0, *s.constitutive_pair))
     check_positive(h, dt)
     return DmhdState(ScalarField(g, h), VectorField3(g, B))
 

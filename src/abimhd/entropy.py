@@ -37,7 +37,7 @@ from .dmhd import (
     DmhdTrajectory,
     _constitutive_arrays,
     _induction_arrays,
-    _state_tendency,
+    _tendency_arrays,
 )
 from .fields import (
     DEFAULT_H_FLOOR,
@@ -130,20 +130,18 @@ def random_frame(grid: GridSpec, rng: np.random.Generator, t: float = 0.0,
     )
 
 
-def frames_from_dmhd(traj: DmhdTrajectory) -> list[TestFieldFrame]:
-    """Convert a solver trajectory into frames (1/h, B/h, D/h, P/h).
+def frames_from_dmhd(sol: SampleTrajectory) -> list[TestFieldFrame]:
+    """Convert the samples of a DMHD run into frames (1/h, B/h, D/h, P/h).
 
     The time derivatives are assembled analytically from the equations of
-    motion, so the frames inherit the solution property L(w*) ~ 0 up to
-    the spatial discretization floor.
+    motion at each sample, so the frames inherit the solution property
+    L(w*) ~ 0 up to the spatial discretization floor.
     """
+    g = sol.grid
     frames = []
-    for t, s in zip(traj.times, traj.states):
-        g = s.grid
-        B = s.B.values
-        r = guarded_reciprocal(s.h.values)
-        D, P = s.constitutive_pair
-        dh, dB = _state_tendency(s)
+    for t, h, B, D, P in zip(sol.times, sol.h, sol.B, sol.D, sol.P):
+        r = guarded_reciprocal(h)
+        dh, dB = _tendency_arrays(g, h, B, D, P)
         frames.append(TestFieldFrame(
             t,
             ScalarField(g, r),
@@ -531,10 +529,10 @@ class SampleTrajectory:
             return h, B, D + psi, P + varphi
 
         def tendency(h, B, D, P):
-            dB = _induction_arrays(g, h, B, D, P)
+            dh, dB = _tendency_arrays(g, h, B, D, P)
             if curl_source is not None:
                 dB = dB + g.curl_arr(np.asarray(curl_source, dtype=float))
-            return -g.div_arr(P), dB
+            return dh, dB
 
         def step(s, dt):
             h, B = rk4_step(s[:2], dt, lambda y: tendency(*derived(*y)),
@@ -557,9 +555,8 @@ class SampleTrajectory:
                    np.stack(Ds), np.stack(Ps))
 
     def with_momentum_offset(self, delta: float) -> "SampleTrajectory":
-        """Corrupted copy with `delta` added to every momentum component."""
-        return SampleTrajectory(self.grid, self.times.copy(), self.h.copy(),
-                                self.B.copy(), self.D.copy(), self.P + delta)
+        """Corrupted trajectory: P + delta, sharing the other arrays."""
+        return replace(self, P=self.P + delta)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -77,6 +77,7 @@ from .stepping import (
     march,
     require_memory,
     rk4_step,
+    step_count,
     uniform_stops,
 )
 
@@ -531,10 +532,10 @@ def _observation(g: GridSpec, tb: TrigBasis, cfg: GalerkinConfig, t: float,
     return state, (t, lam_n, kinetic, hyper, float(h.min()))
 
 
-def _require_kept_states(g: GridSpec, cfg: GalerkinConfig) -> None:
-    """FieldDataError unless the about T/dt states a driver keeps, each
-    (h, B) and 12 N coefficients, fit in the available memory."""
-    count = max(1, int(round(cfg.T / cfg.dt))) + 1
+def _require_kept_states(g: GridSpec, cfg: GalerkinConfig,
+                         count: int) -> None:
+    """FieldDataError unless the count states a driver keeps, each (h, B)
+    and 12 N coefficients, fit in the available memory."""
     require_memory(count * (4 * g.num_points + 12 * cfg.N) * 8,
                    f"{count} kept states hold their (h, B) and coefficients",
                    "raise galerkin.dt or shorten galerkin.T")
@@ -552,7 +553,8 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     in the available memory, FieldDataError is raised before the first step.
     """
     g = h0.grid
-    _require_kept_states(g, cfg)
+    n_steps = step_count(cfg.T, cfg.dt)
+    _require_kept_states(g, cfg, n_steps + 1)
     tb = TrigBasis(cfg.N, g)
 
     def solved(y):
@@ -580,7 +582,6 @@ def galerkin_run(h0: ScalarField, B0: VectorField3, D0: VectorField3,
         h, B = yc[0][:2]
         return max(float(np.abs(h).max()), float(np.abs(B).max()))
 
-    n_steps = max(1, int(round(cfg.T / cfg.dt)))
     return GalerkinTrajectory(*march(
         y0, galerkin_step, uniform_stops(cfg.dt, n_steps),
         lambda y: cfg.dt, observe=observe, sup=sup))
@@ -657,7 +658,12 @@ def picard_iterate(h0: ScalarField, B0: VectorField3, D0: VectorField3,
     require_memory(2 * m * 4 * g.num_points * 8,
                    f"picard holds two sweeps of {m} nodes' (h, B)",
                    "raise galerkin.dt or lower galerkin.sigma")
-    _require_kept_states(g, cfg)
+    # t = 0 and each subinterval's nodes after its start, without halvings
+    whole, rest = divmod(cfg.T, cfg.sigma)
+    kept = 1 + int(whole) * (_node_count(cfg.sigma, cfg.dt) - 1)
+    if rest > STOP_RTOL * cfg.T:
+        kept += _node_count(rest, cfg.dt) - 1
+    _require_kept_states(g, cfg, kept)
     tb = TrigBasis(cfg.N, g)
 
     hB = np.concatenate([h0.values[None], B0.values])    # (h, B) at t_base

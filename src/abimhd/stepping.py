@@ -1,6 +1,6 @@
 """Shared explicit time stepping: the RK4 step, the marching loop, the
-running trapezoid quadrature, the fixed-step stop list with its memory
-guard, and the solver error types. An RK4 step holds y, one running sum of
+running trapezoid quadrature, the fixed-step count and stop list with its
+memory guard, and the solver error types. An RK4 step holds y, one running sum of
 its tendencies (k1 until the sum exists) and one stage or tendency, besides
 the RHS's own work. Each stage goes to the RHS in a fresh list, so an RHS
 that empties it and drops each input once read never holds a whole stage
@@ -108,6 +108,12 @@ def require_memory(need: float, holder: str, remedy: str) -> None:
         raise FieldDataError(
             f"{holder}: {need / 1e9:.3g} GB, above the {avail / 1e9:.3g} GB "
             f"available; {remedy}")
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """Fixed steps of dt to t_final: the nearest count, at least one. A count
+    past the float range raises OverflowError."""
+    return max(1, int(round(t_final / dt)))
 
 
 def uniform_stops(dt: float, n_steps: int) -> list[float]:

@@ -221,7 +221,7 @@ def test_criterion_7_weak_strong_stability():
     n = int(np.ceil(T / dt))
     save = max(1, n // 16)
     traj = dmhd_run(s0, T / n, n, save_every=save)
-    frames = frames_from_dmhd(traj)
+    frames = frames_from_dmhd(SampleTrajectory.from_dmhd(traj))
     r0v = r0(frames)
 
     pert = 1.0 + 0.01 * random_band_limited(g, rng, 2, 1.0).values
@@ -258,7 +258,7 @@ def test_criterion_8_dissipative_certificate():
         slacks.append(rep.max_slack())
     genuine_ok = max(slacks) <= tol
 
-    frames = frames_from_dmhd(traj)
+    frames = frames_from_dmhd(sol)
     bad = sol.with_momentum_offset(0.5)
     rep_bad = dissipative_slack(bad, frames)
     corrupt_ok = rep_bad.max_slack() > 0.0
@@ -395,8 +395,8 @@ def test_criterion_12_convexity():
     save = max(1, n // 8)
     traj_a = dmhd_run(s0, T / n, n, save_every=save)
     traj_b = dmhd_run(s0, T / (2 * n), 2 * n, save_every=2 * save)
-    frames = frames_from_dmhd(traj_a)
     sol_a = SampleTrajectory.from_dmhd(traj_a)
+    frames = frames_from_dmhd(sol_a)
     sol_b = SampleTrajectory.from_dmhd(traj_b)
     mid = convex_combination(sol_a, sol_b, 0.5)
     rep_a = dissipative_slack(sol_a, frames)

@@ -23,6 +23,8 @@ DMHD = ("[scenario]\nname = random_smooth\n[grid]\nn = 16\n"
         "[run]\nt_final = 0.0005\n")
 CERTIFY = ("[scenario]\nname = random_smooth\n[grid]\nn = 8\n"
            "[run]\nt_final = 0.002\n[certify]\nrandom_frames = 2\n")
+ABI = "[grid]\nn = 16\n[run]\nt_final = 0.01\n"
+IDENTITY = "[grid]\nn = 12\n"
 
 
 def run_jobs(tmp_path, tag, jobs, blas_threads=None):
@@ -76,9 +78,13 @@ def test_outputs_identical_across_blas_threads(tmp_path):
             # the hand-over between two Picard subintervals, at a tolerance
             # that takes two sweeps each
             ("galerkin-run", GALERKIN.format(n=16, N=33, picard="true").replace(
-                "sigma = 0.0004", "sigma = 0.0002\npicard_tol = 1e-4"))]
+                "sigma = 0.0004", "sigma = 0.0002\npicard_tol = 1e-4")),
+            # the manufactured march of the identity check
+            ("identity-check", IDENTITY),
+            ("abi-run", ABI)]
     files = outputs_by_threads(tmp_path, jobs)
-    assert [len(f) for f in files[0]] == [4] * 4   # manifest and three outputs
+    # the manifest and three outputs; identity-check writes one
+    assert [len(f) for f in files[0]] == [4, 4, 4, 4, 2, 4]
     assert files[0] == files[1]
 
 
@@ -92,11 +98,11 @@ def test_large_basis_mol_identical_across_blas_threads(tmp_path):
 
 
 def test_certificate_identical_across_blas_threads(tmp_path):
-    # r0's eigensolves run in LAPACK, whose threaded paths must not move a bit
-    files = []
-    for threads in (1, 2):
-        _, (out,) = run_jobs(tmp_path, f"t{threads}", [("certify", CERTIFY)],
-                             threads)
-        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(files[0]) == 5   # manifest, summary and three family reports
+    # r0's eigensolves run in LAPACK, whose threaded paths must not move a
+    # bit; the second job certifies samples whose P alone is offset
+    files = outputs_by_threads(tmp_path, [
+        ("certify", CERTIFY),
+        ("certify", CERTIFY + "momentum_offset = 0.05\n")])
+    # the manifest, the summary and three family reports
+    assert [len(f) for f in files[0]] == [5, 5]
     assert files[0] == files[1]

@@ -98,13 +98,20 @@ class TestExitCodes:
         assert "overflowed at t=" in capsys.readouterr().err
 
     def test_certify_corruption_is_4(self, tmp_path):
-        cfg = write_cfg(tmp_path / "run.cfg",
-                        "[grid]\nn = 8\n[run]\nt_final = 0.01\n"
-                        "[certify]\nmomentum_offset = 0.5\n")
-        out = tmp_path / "o"
-        assert main(["certify", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 4
-        assert (out / "entropy_report_solution.csv").exists()
+        # the solution frames come from the true samples, so the offset
+        # leaves their r0 as it is
+        r0s = []
+        for offset, code in (("0", 0), ("0.5", 4)):
+            cfg = write_cfg(tmp_path / "run.cfg",
+                            "[grid]\nn = 8\n[run]\nt_final = 0.01\n"
+                            f"[certify]\nmomentum_offset = {offset}\n")
+            out = tmp_path / offset
+            assert main(["certify", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == code
+            assert (out / "entropy_report_solution.csv").exists()
+            rows = (out / "certify_summary.csv").read_text().splitlines()
+            r0s.append(rows[1].split(",")[1])
+        assert r0s[0] == r0s[1]
 
 
 class TestNonFinite:
@@ -128,6 +135,8 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("sub,keys", [
         ("dmhd-run", "[run]\ndt = 1e-320\n"),
+        ("abi-run", "[run]\ndt = 1e-320\n"),
+        ("certify", "[run]\ndt = 1e-320\n"),
         ("galerkin-run", "[galerkin]\ndt = 1e-320\n"),
         ("galerkin-run", "[galerkin]\ndt = 1e-320\npicard = true\n")])
     def test_uncountable_steps_are_2(self, tmp_path, sub, keys):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from abimhd import entropy
+from abimhd import dmhd, entropy
 from abimhd._jacobi import jacobi_eigenvalues, jacobi_min_eigenvalue
 from abimhd.dmhd import DmhdState, dmhd_cfl_dt, dmhd_run, energy
 from abimhd.entropy import (
@@ -334,7 +335,8 @@ def prune_families():
     h0 = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
     B0 = random_divergence_free(g, rng, 2, 0.3)
     for s0 in (DmhdState(h0, B0), DmhdState(*single_mode_pair(g))):
-        families.append(frames_from_dmhd(dmhd_run(s0, dmhd_cfl_dt(s0), 3)))
+        traj = dmhd_run(s0, dmhd_cfl_dt(s0), 3)
+        families.append(frames_from_dmhd(SampleTrajectory.from_dmhd(traj)))
     families.append([constant_frame(g, 2.0, b=(0.1, -0.2, 0.3),
                                     d=(0.4, 0.0, -0.1), v=(-0.3, 0.2, 0.0))])
     return families
@@ -408,6 +410,27 @@ class TestSchurPrune:
             assert a.tobytes() == b.tobytes()
 
 
+def test_frames_of_the_samples_equal_frames_of_the_states():
+    # the oracle is the frame built from each solver state: its cached
+    # (D, P) and the tendency (-div P, induction law) of (h, B, D, P)
+    g = GridSpec(16)
+    rng = np.random.default_rng(30)
+    h0 = ScalarField(g, 1.0 + random_band_limited(g, rng, 2, 0.2).values)
+    s0 = DmhdState(h0, random_divergence_free(g, rng, 2, 0.3))
+    traj = dmhd_run(s0, dmhd_cfl_dt(s0), 4, save_every=2)
+    got = frames_from_dmhd(SampleTrajectory.from_dmhd(traj))
+    assert len(got) == len(traj.states) == 3
+    for t, s, frame in zip(traj.times, traj.states, got):
+        B, r = s.B.values, 1.0 / s.h.values
+        D, P = s.constitutive_pair
+        dh = -g.div_arr(P)
+        dB = dmhd._induction_arrays(g, s.h.values, B, D, P)
+        want = (r, B * r, D * r, P * r, -dh * r * r, dB * r - B * (dh * r * r))
+        assert frame.t == t
+        for f, w in zip(fields(TestFieldFrame)[1:], want):
+            assert getattr(frame, f.name).values.tobytes() == w.tobytes()
+
+
 class TestLOperator:
     def test_trivial_solution_frame(self, grid16):
         L = l_operator(constant_frame(grid16))
@@ -418,7 +441,7 @@ class TestLOperator:
         h0, B0 = single_mode_pair(g)
         s0 = DmhdState(h0, B0)
         traj = dmhd_run(s0, dmhd_cfl_dt(s0) * 0.9, 10, save_every=5)
-        for fr in frames_from_dmhd(traj):
+        for fr in frames_from_dmhd(SampleTrajectory.from_dmhd(traj)):
             assert np.abs(l_operator(fr)).max() < 1e-4
 
     def test_matches_finite_differences(self, rng):
@@ -559,7 +582,8 @@ def make_solution_pack(grid, n_steps=60, save_every=6, amp=(0.2, 0.3)):
     s0 = DmhdState(h0, B0)
     dt = dmhd_cfl_dt(s0) * 0.8
     traj = dmhd_run(s0, dt, n_steps, save_every=save_every)
-    return s0, traj, SampleTrajectory.from_dmhd(traj), frames_from_dmhd(traj)
+    sol = SampleTrajectory.from_dmhd(traj)
+    return s0, traj, sol, frames_from_dmhd(sol)
 
 
 class TestDissipativeSlack:

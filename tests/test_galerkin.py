@@ -873,6 +873,23 @@ class TestPicard:
             assert ref > 0.0
             assert abs(row[2] - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("sigma_dt, kept", [(1.0, 17), (1.5, 13)])
+    def test_kept_state_guard_counts_the_kept_states(self, monkeypatch,
+                                                     sigma_dt, kept):
+        # a subinterval keeps at least two nodes, so a short sigma keeps
+        # more states than one a step (9 here)
+        grid = GridSpec(8)
+        h0, B0 = single_mode_pair(grid)
+        zero = VectorField3.zero(grid)
+        dt = 2e-4
+        cfg = GalerkinConfig(N=2, eps=0.1, l=1, dt=dt, T=8 * dt, picard=True,
+                             picard_tol=1e-11, sigma=sigma_dt * dt)
+        counted = []
+        monkeypatch.setattr(galerkin, "_require_kept_states",
+                            lambda g, cfg, count: counted.append(count))
+        traj = picard_iterate(h0, B0, zero, zero, cfg)
+        assert counted == [len(traj.states)] == [kept]
+
     def test_one_gram_build_per_node_and_sweep(self, monkeypatch):
         # one at t = 0, then one mass solve per node after the first of
         # every sweep; the t = 0 node keeps the start's coefficients, so z(0)

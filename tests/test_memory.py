@@ -141,8 +141,9 @@ def test_the_initial_state_is_dead_when_step_two_starts(
     assert dead == [[True] * len(refs)] * 2
 
 
-def job_peak(argv):
-    main(argv)                          # warm: imports and cached symbols
+def job_peak(argv, warm=True):
+    if warm:
+        main(argv)                      # imports and cached symbols
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -179,21 +180,47 @@ def test_mollify_job_memory_does_not_grow_with_the_schedule(tmp_path):
     assert peak("0.2 0.15 0.1 0.08 0.06 0.05") <= 1.2 * peak("0.2")
 
 
+def test_certify_keeps_at_most_28_fields_a_save(tmp_path):
+    # the growth of the peak from 40 to 80 saves: a save's sample row (10
+    # fields), its solution frame (14) and the momentum offset's new P (3),
+    # 27.05 fields; 34.08 when the frames read the solver's saved states,
+    # which kept their (h, B) and cached (D, P) until the frames existed
+    n, dt = 16, 1e-4
+    cfg = tmp_path / "run.cfg"
+    argv = ["certify", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--quiet"]
+
+    def peak(saves, warm):
+        cfg.write_text(f"[grid]\nn = {n}\n[scenario]\nname = random_smooth\n"
+                       f"[run]\ndt = {dt}\nt_final = {saves * dt!r}\n"
+                       "save_every = 1\n[certify]\nrandom_frames = 2\n"
+                       "momentum_offset = 0.05\n")
+        return job_peak(argv, warm)
+
+    short = peak(40, warm=True)         # the first job warms the caches
+    per_save = (peak(80, warm=False) - short) / (40 * n ** 3 * 8)
+    assert per_save <= 28.0
+
+
 @pytest.mark.parametrize("sub, keys", [
     ("dmhd-run", "[grid]\nn = 8\n[run]\ndt = 1e-12\nt_final = 1.0\n"),
     ("identity-check", "[grid]\nn = 12\n[identity]\nsteps = 1000000000000\n"),
     ("galerkin-run", "[grid]\nn = 8\n[galerkin]\nN = 1000000000\n"),
     ("galerkin-run", "[grid]\nn = 16\n[galerkin]\nT = 40\npicard = false\n"),
     ("galerkin-run", "[grid]\nn = 16\n[galerkin]\nT = 40\npicard = true\n"),
+    ("galerkin-run", "[grid]\nn = 16\n[galerkin]\nT = 1.6\nsigma = 2e-4\n"
+     "picard = true\n"),
     ("certify", "[grid]\nn = 16\n[run]\nt_final = 20\nsave_every = 1\n")],
     ids=["steps", "identity-steps", "basis", "mol-states", "picard-states",
-         "certify-saves"])
+         "picard-nodes", "certify-saves"])
 def test_runs_past_memory_exit_2_before_building(tmp_path, sub, keys):
     # 10^12 stops (346 TB of stops and rows) and a basis of 10^9
     # wavevectors (a 28.7 GiB enumeration) once ended in a MemoryError;
     # 2 x 10^5 Galerkin steps keep 69 MB of stops and rows, which fit, but
-    # 26 GB of states, and 1.35 x 10^5 certify saves of 34 fields 151 GB,
-    # which once started stepping
+    # 26 GB of states, and 1.35 x 10^5 certify saves of 27 fields 120 GB,
+    # which once started stepping; Picard with sigma = dt keeps two nodes
+    # a step, 16,001 states (2.11 GB), which a count of one a step (8,001,
+    # 1.05 GB) let start
     child = textwrap.dedent("""
         import json, sys, time
         from abimhd.cli import main

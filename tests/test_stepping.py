@@ -192,6 +192,14 @@ def test_march_fixed_step_uses_dt_unchanged_and_stamps_k_dt():
     assert times == [k * dt for k in kept]
 
 
+def test_step_count_is_the_nearest_count_and_at_least_one():
+    assert stepping.step_count(0.1, 0.03) == 3
+    assert stepping.step_count(0.1, 0.024) == 4
+    assert stepping.step_count(1e-9, 1.0) == 1
+    with pytest.raises(OverflowError):
+        stepping.step_count(0.01, 1e-320)
+
+
 def test_uniform_stops_are_k_dt_once_they_fit_in_memory():
     assert stepping.uniform_stops(0.1, 7) == [k * 0.1 for k in range(1, 8)]
     with pytest.raises(FieldDataError, match="10+ steps keep .* GB"):
